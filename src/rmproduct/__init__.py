@@ -33,7 +33,6 @@ from .rm_core import (
 )
 from .sim import SimConfig, SimPoint, run_point, run_sweep, wilson_interval
 from .soft_fht import (
-    FirstOrderTables,
     brute_force_soft_map,
     encoded_bit_llrs,
     info_bit_llrs,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
-    "FirstOrderTables",
     "OpCounter",
     "ProductCode",
     "RmCode",

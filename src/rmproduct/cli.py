@@ -1,6 +1,7 @@
 """Command-line front end for Monte-Carlo BLER sweeps."""
 
 import argparse
+import math
 import os
 import sys
 
@@ -12,18 +13,22 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
     if not text:
         return ()
+    fields = text.split(":" if ":" in text else ",")
+    if any(not field.strip() for field in fields):
+        raise ValueError(f"empty field in Eb/N0 grid {text!r}")
     if ":" in text:
-        fields = text.split(":")
         if len(fields) != 3:
             raise ValueError(f"expected start:stop:step, got {text!r}")
         start, stop, step = (float(f) for f in fields)
+        if not all(math.isfinite(value) for value in (start, stop, step)):
+            raise ValueError(f"Eb/N0 range needs finite numbers, got {text!r}")
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
         count = int((stop - start) / step + 1e-9) + 1
         if count < 1:
             raise ValueError(f"empty range {text!r}")
         return tuple(start + i * step for i in range(count))
-    return tuple(float(f) for f in text.split(","))
+    return tuple(float(f) for f in fields)
 
 
 def _parse_workers(text: str) -> int:

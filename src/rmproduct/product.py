@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rm_core, soft_fht
-from .fht import fht_ml_decode_batch
-from .soft_fht import (
-    FirstOrderTables,
-    brute_force_ml_decode_batch,
-    brute_force_soft_map_batch,
-    precompute_tables,
-    soft_fht_decode_batch,
-)
+from .fht import fht_ml_decode_batch, to_signs
+from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
 SOFT_FHT = "soft-fht"
 BF_MAP = "bfmap"
@@ -37,11 +31,10 @@ HARD = "hard"
 
 @dataclass(frozen=True)
 class Component:
-    """One product component: the code, its decoder kind, and decode tables."""
+    """One product component: the code and its decoder kind."""
 
     code: rm_core.RmCode
     decoder: str
-    tables: FirstOrderTables | None
 
 
 class ProductCode:
@@ -108,17 +101,15 @@ def build_product_code(specs) -> ProductCode:
                     f"{code.descriptor}: soft-FHT component decoding needs order 1; "
                     "append :bfmap for the exhaustive soft-MAP decoder"
                 )
-            tables = precompute_tables(m)
         elif kind == BF_MAP:
             if code.k > soft_fht.MAX_BF_DIM:
                 raise rm_core.SizeLimitError(
                     f"{code.descriptor}: brute-force component decoding caps at "
                     f"k <= {soft_fht.MAX_BF_DIM}, got k={code.k}"
                 )
-            tables = None
         else:
             raise ValueError(f"unknown decoder kind {kind!r}")
-        components.append(Component(code=code, decoder=kind, tables=tables))
+        components.append(Component(code=code, decoder=kind))
     return ProductCode(components)
 
 
@@ -185,16 +176,17 @@ def reshape_tensor_to_vector(tensor, code: ProductCode) -> np.ndarray:
 
 
 def _decode_fibers(comp: Component, fibers: np.ndarray, mode: str, counter) -> np.ndarray:
-    """Run the component decoder on a (count, n_q) block of fiber LLRs."""
+    """Run the component decoder along the last axis of `fibers`, a view of the tensor."""
+    if comp.decoder == BF_MAP:  # on a (count, n_q) copy
+        flat = fibers.reshape(-1, comp.code.n)
+        if mode == SOFT:
+            updated = brute_force_soft_map_batch(flat, comp.code, counter)[1]
+        else:
+            updated = to_signs(brute_force_ml_decode_batch(flat, comp.code, counter))
+        return updated.reshape(fibers.shape)
     if mode == SOFT:
-        if comp.decoder == SOFT_FHT:
-            return soft_fht_decode_batch(fibers, comp.tables, counter)
-        return brute_force_soft_map_batch(fibers, comp.code, counter)[1]
-    if comp.decoder == SOFT_FHT:
-        hard, _ = fht_ml_decode_batch(fibers, comp.tables, counter)
-    else:
-        hard = brute_force_ml_decode_batch(fibers, comp.code, counter)
-    return 1.0 - 2.0 * hard  # hard decisions re-enter the loop as +-1 values
+        return soft_fht_decode_batch(fibers, comp.code, counter)
+    return to_signs(fht_ml_decode_batch(fibers, comp.code, counter)[0])  # +-1 re-enters the loop
 
 
 def product_decode(code: ProductCode, y, sigma2: float, iterations: int = 3, mode: str = SOFT, counter=None):
@@ -212,7 +204,7 @@ def product_decode_batch(code: ProductCode, received: np.ndarray, sigma2: float,
 
     Returns (hard codewords (count, n_t) uint8, final LLR tensors with shape
     (count,) + tensor_shape).  Fibers along one axis are decoded as a single
-    batch; axes and iterations are sequential.
+    batch, in place on a view of the tensor; axes and iterations are sequential.
     """
     if sigma2 <= 0:
         raise ValueError(f"noise variance must be positive, got {sigma2}")
@@ -224,15 +216,14 @@ def product_decode_batch(code: ProductCode, received: np.ndarray, sigma2: float,
     if received.ndim != 2 or received.shape[1] != code.n_t:
         raise ValueError(f"received block has shape {received.shape}, expected (*, {code.n_t})")
     count = received.shape[0]
-    llrs = (2.0 / sigma2) * received
-    tensor = llrs.reshape((count,) + code.tensor_shape)
+    # frames on the fastest axis: every axis' kernel then runs long inner loops
+    llrs = np.empty((code.n_t, count))
+    np.multiply(2.0 / sigma2, received.T, out=llrs)
+    tensor = np.moveaxis(llrs.reshape(code.tensor_shape + (count,)), -1, 0)
     for _ in range(iterations):
         for index, comp in enumerate(code.components):
             axis = 1 + (code.q_count - 1 - index)
-            moved = np.moveaxis(tensor, axis, -1)
-            flat = moved.reshape(-1, comp.code.n)
-            updated = _decode_fibers(comp, flat, mode, counter)
-            tensor = np.moveaxis(updated.reshape(moved.shape), -1, axis)
-    flat_llrs = np.ascontiguousarray(tensor).reshape(count, code.n_t)
-    decided = (flat_llrs < 0.0).astype(np.uint8)  # sign(0) = +1 maps to bit 0
+            updated = _decode_fibers(comp, np.moveaxis(tensor, axis, -1), mode, counter)
+            tensor = np.moveaxis(updated, -1, axis)
+    decided = (tensor < 0.0).reshape(count, code.n_t).view(np.uint8)  # sign(0) = +1 maps to bit 0
     return decided, tensor

@@ -95,9 +95,7 @@ def parse_rm_descriptor(text: str) -> tuple[int, int]:
 
 def first_order_rows(m: int) -> np.ndarray:
     """The m weight-n/2 canonical rows: column x is the binary word of x, MSB first."""
-    x = np.arange(1 << m)
-    shifts = np.arange(m - 1, -1, -1)
-    return ((x[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+    return np.ascontiguousarray(binary_words(m).T)
 
 
 def _weight_selected_rows(m: int, r: int) -> np.ndarray:

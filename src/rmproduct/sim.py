@@ -7,6 +7,7 @@ the exact frame where the block-error target is met, or at the frame cap.
 """
 
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -18,6 +19,9 @@ from . import channel, product
 from .ops import OpCounter
 
 CHUNK_FRAMES = 256  # fixed batch size; part of the determinism contract
+# Version of the result values, recorded in the JSON config.  2: ops_per_decode
+# counts the n-1 compares and sign XORs per fiber of the min-sum butterfly.
+RESULT_FORMAT = 2
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 CSV_COLUMNS = (
@@ -44,6 +48,8 @@ class SimConfig:
     def __post_init__(self):
         if self.decoder not in (product.SOFT, product.HARD):
             raise ValueError(f"decoder must be 'soft' or 'hard', got {self.decoder!r}")
+        for ebno_db in self.ebno_dbs:
+            _check_ebno(ebno_db)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.min_block_errors < 1:
@@ -54,6 +60,11 @@ class SimConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.out_format!r}")
+
+
+def _check_ebno(ebno_db: float) -> None:
+    if not math.isfinite(ebno_db):
+        raise ValueError(f"Eb/N0 must be a finite number of dB, got {ebno_db}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,7 @@ def run_point(code, *, mode: str, iterations: int, ebno_db: float,
     the codeword level (the decoder returns a hard codeword, not information
     bits); a block error is any bit mismatch.
     """
+    _check_ebno(ebno_db)
     descriptor = code.descriptor if isinstance(code, product.ProductCode) else code
     built = _cached_code(descriptor)
     sigma2 = channel.ebno_db_to_sigma2(ebno_db, built.rate)
@@ -228,6 +240,7 @@ def emit_json(points, config: SimConfig, stream) -> None:
     described = asdict(config)
     for runtime_field in ("workers", "out_format", "out_path"):
         described.pop(runtime_field)
+    described["result_format"] = RESULT_FORMAT
     payload = {"config": described, "points": [asdict(p) for p in points]}
     json.dump(payload, stream, indent=2)
     stream.write("\n")

@@ -1,141 +1,86 @@
 """Soft-input soft-output decoding of first-order RM codes.
 
-The SISO component decoder works in three steps: transform the channel LLRs to
-the Walsh spectrum, form max-log LLRs for the k = m+1 information bits from
-fixed index partitions of the spectrum, then re-expand them to the n code
-positions with the min-sum rule over each generator column's support.  A
-brute-force soft-MAP over all 2^k codewords doubles as the exact max-log
-oracle for the fast path and as the component decoder for small codes of
-order above one.
+The SISO component decoder works in three steps along the last axis of any
+(..., n) array: transform the channel LLRs to the Walsh spectrum, form max-log
+LLRs for the k = m+1 information bits from the two halves of the spectrum
+that each bit splits it into, then re-expand them to the n code positions by
+a min-sum prefix butterfly.  A brute-force soft-MAP over all 2^k codewords
+doubles as the exact max-log oracle for the fast path and as the component
+decoder for small codes of order above one.
 """
 
 import numpy as np
 
 from . import rm_core
-from .fht import fht
+from .fht import fht, fiber_block, prefix_butterfly, to_signs
 
 MAX_TABLES_M = 16
 MAX_BF_DIM = 16
 
 
-class FirstOrderTables:
-    """Precomputed index partitions and column supports for RM(m, 1).
-
-    The first 2^m codewords (information words with the all-one row's bit at
-    zero) split into equal halves by the value of each later information bit.
-    The split depends only on the binary counting order of information words,
-    so it is computed once per m and shared read-only by every decode.
-    """
-
-    def __init__(self, m: int):
-        if not 1 <= m <= MAX_TABLES_M:
-            raise rm_core.SizeLimitError(f"tables require 1 <= m <= {MAX_TABLES_M}, got {m}")
-        code = rm_core.build_rm_code(m, 1)
-        self.m = m
-        self.n = code.n
-        self.k = code.k
-        self.generator = code.generator
-        # bit b of the first-half index x is info bit b+1 (MSB first, bit 0 is
-        # the all-one row's bit and is zero throughout the first half)
-        x = np.arange(self.n)
-        shifts = np.arange(m - 1, -1, -1)
-        bits = (((x[None, :] >> shifts[:, None]) & 1) == 1)
-        self.zero_masks = ~bits  # (m, n) bool
-        self.zero_index_sets = [np.flatnonzero(~bits[b]) for b in range(m)]
-        self.one_index_sets = [np.flatnonzero(bits[b]) for b in range(m)]
-        self.column_supports = code.generator.astype(bool)  # (k, n)
-        self.support_sizes = self.column_supports.sum(axis=0)
-        # per-position min/sign chain length, summed: used by the op counters
-        self.min_sum_ops = int(self.support_sizes.sum() - self.n)
-        for table in (self.zero_masks, self.column_supports, self.support_sizes):
-            table.setflags(write=False)  # shared read-only across decodes
-
-    def info_words(self, indices, negative) -> np.ndarray:
-        """Information words of spectrum entries: the sign picks the all-one
-        row's bit, the index spells the remaining m bits (MSB first)."""
-        indices = np.asarray(indices)
-        shifts = np.arange(self.m - 1, -1, -1)
-        out = np.empty((indices.shape[0], self.k), dtype=np.uint8)
-        out[:, 0] = np.asarray(negative, dtype=np.uint8)
-        out[:, 1:] = (indices[:, None] >> shifts[None, :]) & 1
-        return out
-
-    def encode_info(self, infos: np.ndarray) -> np.ndarray:
-        """Map information words (count, m+1) to codewords (count, n)."""
-        products = infos.astype(np.int32) @ self.generator.astype(np.int32)
-        return (products & 1).astype(np.uint8)
+def precompute_tables(m: int) -> rm_core.RmCode:
+    """RM(m, 1): its m, n and k are all that the first-order kernels read."""
+    if not 1 <= m <= MAX_TABLES_M:
+        raise rm_core.SizeLimitError(f"tables require 1 <= m <= {MAX_TABLES_M}, got {m}")
+    return rm_core.build_rm_code(m, 1)
 
 
-def precompute_tables(m: int) -> FirstOrderTables:
-    """Build the decoding tables for RM(m, 1)."""
-    return FirstOrderTables(m)
-
-
-def info_bit_llrs(spectrum, tables, counter=None) -> np.ndarray:
-    """Max-log LLRs of the m+1 information bits from one Walsh spectrum."""
-    return info_bit_llrs_batch(np.asarray(spectrum, dtype=np.float64)[None, :], tables, counter)[0]
-
-
-def info_bit_llrs_batch(spectra, tables, counter=None) -> np.ndarray:
-    """Max-log information-bit LLRs for each row of a (count, n) spectrum array.
+def info_bit_llrs_batch(spectra, code, counter=None) -> np.ndarray:
+    """Max-log LLRs of the m+1 information bits along the last axis of (..., n) spectra.
 
     The first bit weighs the best positive spectrum entry against the best
-    negative one; every other bit weighs the largest magnitudes over its two
-    fixed index halves.
+    negative one.  Bit b+1 is bit m-1-b of the spectrum index: it weighs the
+    largest magnitudes of the halves of |S|.reshape(pre, 2^b, 2, n/2^(b+1), post).
     """
-    spectra = np.asarray(spectra, dtype=np.float64)
-    rows, n = spectra.shape
-    out = np.empty((rows, tables.k))
-    out[:, 0] = spectra.max(axis=1) - (-spectra).max(axis=1)
-    magnitudes = np.abs(spectra)
-    for b in range(tables.m):
-        zero_best = magnitudes[:, tables.zero_index_sets[b]].max(axis=1)
-        one_best = magnitudes[:, tables.one_index_sets[b]].max(axis=1)
-        out[:, b + 1] = zero_best - one_best
+    block, restore = fiber_block(spectra, code.n)
+    pre, n, post = block.shape
+    m = code.m
+    out = np.empty((pre, m + 1, post))
+    np.add(block.max(axis=1), block.min(axis=1), out=out[:, 0])
+    magnitudes = np.abs(block)
+    for b in range(m):  # one axis at a time, skipping size-1 axes: fast for any post
+        halves = magnitudes.reshape(pre, 1 << b, 2, n >> (b + 1), post)
+        best = halves.max(axis=1) if b else halves[:, 0]
+        best = best.max(axis=2) if b < m - 1 else best[:, :, 0]
+        np.subtract(best[:, 0], best[:, 1], out=out[:, b + 1])
     if counter is not None:
-        counter.compare += rows * (2 * (n - 1) + tables.m * (n - 2))
-        counter.add_sub += rows * (1 + tables.m)
-        counter.depth += (n.bit_length() - 1) + 1
-    return out
+        counter.compare += pre * post * (2 * (n - 1) + m * (n - 2))
+        counter.add_sub += pre * post * (1 + m)
+        counter.depth += m + 1
+    return restore(out)
 
 
-def encoded_bit_llrs(info_llrs, tables, counter=None) -> np.ndarray:
-    """Min-sum LLRs of the n code positions from one information-bit LLR vector."""
-    return encoded_bit_llrs_batch(np.asarray(info_llrs, dtype=np.float64)[None, :], tables, counter)[0]
+def encoded_bit_llrs_batch(info_llrs, code, counter=None) -> np.ndarray:
+    """Min-sum LLRs of the n code positions along the last axis of (..., m+1) LLRs.
 
-
-def encoded_bit_llrs_batch(info_llrs, tables, counter=None) -> np.ndarray:
-    """Min-sum re-expansion for each row of a (count, m+1) LLR array.
-
-    Per code position: product of signs times the smallest magnitude over the
-    generator rows feeding that position, with sign(0) = +1.
+    Position x is fed by the all-one row and the row of each set bit of x, so
+    from the all-one row each bit doubles the prefix with min(prefix, |L_b|)
+    and sign prefix ^ (L_b < 0): n-1 mins and sign XORs per fiber, sign(0) = +1.
     """
-    info_llrs = np.asarray(info_llrs, dtype=np.float64)
-    rows = info_llrs.shape[0]
-    negatives = (info_llrs < 0.0).astype(np.uint8)
-    parity = (negatives @ tables.generator) & 1
-    signs = 1.0 - 2.0 * parity
-    magnitudes = np.abs(info_llrs)
-    least = np.full((rows, tables.n), np.inf)
-    for b in range(tables.k):
-        support = tables.column_supports[b]
-        least[:, support] = np.minimum(least[:, support], magnitudes[:, b : b + 1])
+    block, restore = fiber_block(info_llrs, code.k)
+    pre, _, post = block.shape
+    magnitudes = np.abs(block)
+    negative = block < 0.0
+    least = prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:], np.float64)
+    flips = prefix_butterfly(np.logical_xor, negative[:, :1], negative[:, 1:], bool)
+    least *= to_signs(flips)
     if counter is not None:
-        counter.compare += rows * tables.min_sum_ops
-        counter.sign_mult += rows * tables.min_sum_ops
-        counter.depth += max(tables.k.bit_length() - 1, 1)
-    return signs * least
+        counter.compare += pre * post * (code.n - 1)
+        counter.sign_mult += pre * post * (code.n - 1)
+        counter.depth += code.m
+    return restore(least)
 
 
-def soft_fht_decode(llr, tables, counter=None) -> np.ndarray:
-    """Full SISO pipeline for one LLR vector: updated LLRs over the n positions."""
-    return soft_fht_decode_batch(np.asarray(llr, dtype=np.float64)[None, :], tables, counter)[0]
-
-
-def soft_fht_decode_batch(llrs, tables, counter=None) -> np.ndarray:
-    """Full SISO pipeline for each row of a (count, n) LLR array."""
+def soft_fht_decode_batch(llrs, code, counter=None) -> np.ndarray:
+    """Full SISO pipeline along the last axis of a (..., n) LLR array."""
     spectra = fht(llrs, counter)
-    return encoded_bit_llrs_batch(info_bit_llrs_batch(spectra, tables, counter), tables, counter)
+    return encoded_bit_llrs_batch(info_bit_llrs_batch(spectra, code, counter), code, counter)
+
+
+# one kernel for any leading shape, a single vector included
+info_bit_llrs = info_bit_llrs_batch
+encoded_bit_llrs = encoded_bit_llrs_batch
+soft_fht_decode = soft_fht_decode_batch
 
 
 _CODEBOOKS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -155,21 +100,17 @@ def _codebook(code: rm_core.RmCode):
     return _CODEBOOKS[key]
 
 
-def brute_force_soft_map(llr, code, counter=None):
-    """Exact max-log soft MAP of one LLR vector over any small binary code.
-
-    Returns (information-bit LLRs, code-position LLRs), both by exhaustive
-    correlation against all 2^k codewords.
-    """
-    info, coded = brute_force_soft_map_batch(np.asarray(llr, dtype=np.float64)[None, :], code, counter)
-    return info[0], coded[0]
-
-
 def brute_force_soft_map_batch(llrs, code, counter=None):
-    """Exhaustive max-log soft MAP for each row of a (count, n) LLR array."""
+    """Exact max-log soft MAP along the last axis of (..., n) LLRs, over any small code.
+
+    Returns (information-bit LLRs (..., k), code-position LLRs (..., n)), both
+    by exhaustive correlation against all 2^k codewords.
+    """
     infos, codewords, signs = _codebook(code)
     llrs = np.asarray(llrs, dtype=np.float64)
-    rows, n = llrs.shape
+    lead, n = llrs.shape[:-1], llrs.shape[-1]
+    llrs = llrs.reshape(-1, n)
+    rows = llrs.shape[0]
     scores = llrs @ signs.T  # (rows, 2^k) correlations
     count = scores.shape[1]
     info_llrs = np.empty((rows, code.k))
@@ -184,7 +125,10 @@ def brute_force_soft_map_batch(llrs, code, counter=None):
         counter.add_sub += rows * (count * (n - 1) + code.k + n)
         counter.compare += rows * (code.k + n) * (count - 2)
         counter.depth += (n.bit_length() - 1) + code.k + 1
-    return info_llrs, coded_llrs
+    return info_llrs.reshape(lead + (code.k,)), coded_llrs.reshape(lead + (n,))
+
+
+brute_force_soft_map = brute_force_soft_map_batch
 
 
 def brute_force_ml_decode_batch(llrs, code, counter=None) -> np.ndarray:

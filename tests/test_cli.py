@@ -114,3 +114,23 @@ def test_large_bfmap_code_constructs_and_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert int(lines[1].split(",")[2]) == 4  # frames column
+
+
+@pytest.mark.parametrize("grid", ["1,2,", ",1", "1,,2", "1::2", "1:2: "])
+def test_parse_ebno_names_an_empty_field(grid):
+    with pytest.raises(ValueError, match="empty field"):
+        cli.parse_ebno_grid(grid)
+
+
+@pytest.mark.parametrize("grid", ["nan", "1,inf", "1:inf:1", "0:1:nan"])
+def test_non_finite_ebno_reports_error(grid, capsys):
+    code = cli.main(["--code", "rm(2,1)xrm(1,1)", "--ebno", grid, "--max-frames", "10"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_trailing_comma_reports_empty_field(capsys):
+    code = cli.main(["--code", "rm(2,1)xrm(1,1)", "--ebno", "1,2,"])
+    assert code == 2
+    assert "empty field" in capsys.readouterr().err

@@ -1,0 +1,284 @@
+"""Differential tests of the first-order kernels and the product decoder.
+
+The fast kernels are checked against dense references written here, for
+m = 1..12, on 1-D, 2-D and 3-D inputs and on `np.moveaxis` views of every
+axis of 2- and 3-axis tensors, with random LLRs, exact zeros, exact ties and
+magnitudes near 1e150.  Hypothesis draws the cases derandomized, so every
+run checks the same examples.  The product decoder is checked bit for bit
+against the row-by-row decoder it replaced (index-set max-log, min-sum over
+generator column supports, a copy of each axis' fibers), kept here as a
+reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rmproduct import rm_core
+from rmproduct.fht import fht, fht_ml_decode_batch
+from rmproduct.product import (
+    BF_MAP,
+    product_code_from_descriptor,
+    product_decode_batch,
+    product_encode_batch,
+)
+from rmproduct.soft_fht import (
+    brute_force_ml_decode_batch,
+    brute_force_soft_map_batch,
+    encoded_bit_llrs_batch,
+    info_bit_llrs_batch,
+    precompute_tables,
+)
+from test_acceptance import MENU_CODES
+
+DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=12)
+
+KINDS = ("normal", "zeros", "ties", "huge", "huge-ties")
+EXACT_KINDS = ("ties", "huge-ties")  # integer multiples of a power of two: sums are exact
+# viewD-axisK: a D-axis C-ordered tensor with the fibers on axis K, seen through
+# np.moveaxis(tensor, K, -1); the last-axis views are plain 2-D and 3-D inputs
+LAYOUTS = ("1d", "view2-axis0", "view2-axis1", "view3-axis0", "view3-axis1", "view3-axis2",
+           "strided")
+
+
+def _values(rng, kind, shape):
+    if kind == "normal":
+        return rng.normal(size=shape) * 3.0
+    if kind == "zeros":
+        values = rng.normal(size=shape) * 3.0
+        values[rng.random(shape) < 0.5] = 0.0
+        return values
+    if kind == "ties":
+        return rng.integers(-2, 3, size=shape).astype(np.float64)
+    if kind == "huge":
+        return rng.normal(size=shape) * 1e150
+    return rng.integers(-3, 4, size=shape) * 2.0**500  # about 1e150, exact ties
+
+
+def _lay_out(fibers, layout, shape):
+    """`fibers` (count, n) as the kernel input named by `layout`; 'view3' inputs
+    have the leading shape `shape` (count = prod(shape))."""
+    n = fibers.shape[-1]
+    if layout == "1d":
+        return fibers[0]
+    if layout == "strided":
+        spaced = np.zeros((2 * fibers.shape[0], n))
+        spaced[::2] = fibers
+        return spaced[::2]
+    dims, axis = int(layout[4]), int(layout[-1])
+    logical = fibers.reshape((shape[0], -1, n) if dims == 3 else (-1, n))
+    stored = np.ascontiguousarray(np.moveaxis(logical, -1, axis))  # n on `axis` in memory
+    return np.moveaxis(stored, axis, -1)
+
+
+@st.composite
+def draws(draw, kinds=KINDS):
+    """A value kind, a leading shape and a data seed; every test checks each
+    of LAYOUTS on them."""
+    kind = draw(st.sampled_from(kinds))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    return kind, shape, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _dense_fht(fibers):
+    """Product with the Sylvester-Hadamard matrix, built a block of rows at a
+    time from H[j, x] = (-1)^popcount(j & x)."""
+    n = fibers.shape[-1]
+    x = np.arange(n)
+    out = np.empty_like(fibers)
+    for start in range(0, n, 512):
+        j = np.arange(start, min(n, start + 512))
+        rows = 1.0 - 2.0 * (np.bitwise_count(j[:, None] & x[None, :]) & 1)
+        out[:, j] = fibers @ rows.T
+    return out
+
+
+def _dense_info(spectra, m):
+    """Max-log over all 2^(m+1) codewords, whose correlations are +-S_j."""
+    n = 1 << m
+    j = np.arange(n)
+    out = np.empty((spectra.shape[0], m + 1))
+    out[:, 0] = spectra.max(axis=1) - (-spectra).max(axis=1)
+    magnitudes = np.abs(spectra)
+    for b in range(m):
+        one = ((j >> (m - 1 - b)) & 1) == 1
+        out[:, b + 1] = (np.where(one, -np.inf, magnitudes).max(axis=1)
+                         - np.where(one, magnitudes, -np.inf).max(axis=1))
+    return out
+
+
+def _dense_min_sum(info, m):
+    """Per position: the least magnitude over the generator rows covering it,
+    negative when an odd number of those rows is negative."""
+    covers = rm_core.build_rm_code(m, 1).generator.astype(bool)  # (k, n)
+    least = np.where(covers[None], np.abs(info)[:, :, None], np.inf).min(axis=1)
+    parity = ((info < 0).astype(np.int64) @ covers.astype(np.int64)) & 1
+    return np.where(parity == 1, -least, least)
+
+
+def _as_fibers(result, layout):
+    """The kernel's output as (count, j) rows, in the order of the input fibers."""
+    return result[None, :] if layout == "1d" else result.reshape(-1, result.shape[-1])
+
+
+def test_dense_fht_rows_are_the_sylvester_matrix():
+    h = np.array([[1.0]])
+    for m in range(7):
+        assert np.array_equal(_dense_fht(np.eye(1 << m)), h)
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@DIFFERENTIAL
+@given(draws())
+def test_fht_matches_dense_sylvester_product(m, case):
+    kind, shape, rng = case
+    fibers = _values(rng, kind, (shape[0] * shape[1], 1 << m))
+    dense = _dense_fht(fibers)
+    for layout in LAYOUTS:
+        values = _lay_out(fibers, layout, shape)
+        before = values.copy()
+        got = fht(values)
+        assert got.shape == values.shape
+        assert np.array_equal(values, before)  # input untouched
+        fast = _as_fibers(got, layout)
+        if kind in EXACT_KINDS:
+            assert np.array_equal(fast, dense[: len(fast)]), layout
+        else:
+            bound = 1e-13 * m * np.abs(fibers[: len(fast)]).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(fast - dense[: len(fast)]) <= bound), layout
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@DIFFERENTIAL
+@given(draws())
+def test_info_bit_llrs_match_dense_max_log(m, case):
+    kind, shape, rng = case
+    spectra = _values(rng, kind, (shape[0] * shape[1], 1 << m))
+    dense = _dense_info(spectra, m)
+    for layout in LAYOUTS:
+        got = info_bit_llrs_batch(_lay_out(spectra, layout, shape), precompute_tables(m))
+        assert got.shape[:-1] == _lay_out(spectra, layout, shape).shape[:-1]
+        fast = _as_fibers(got, layout)
+        assert np.array_equal(fast, dense[: len(fast)]), layout
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@DIFFERENTIAL
+@given(draws())
+def test_min_sum_matches_dense_column_supports(m, case):
+    kind, shape, rng = case
+    info = _values(rng, kind, (shape[0] * shape[1], m + 1))
+    dense = _dense_min_sum(info, m)
+    for layout in LAYOUTS:
+        got = encoded_bit_llrs_batch(_lay_out(info, layout, shape), precompute_tables(m))
+        assert got.shape[:-1] == _lay_out(info, layout, shape).shape[:-1]
+        fast = _as_fibers(got, layout)
+        assert np.array_equal(fast, dense[: len(fast)]), layout
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+@DIFFERENTIAL
+@given(draws(kinds=EXACT_KINDS))  # exact spectra: the dense argmax is the kernel's
+def test_hard_ml_matches_dense_argmax(m, case):
+    kind, shape, rng = case
+    llrs = _values(rng, kind, (shape[0] * shape[1], 1 << m))
+    spectra = _dense_fht(llrs)
+    index = np.argmax(np.abs(spectra), axis=1)  # ties to the smallest index
+    negative = spectra[np.arange(len(index)), index] < 0.0
+    bits = (index[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
+    infos = np.concatenate((negative[:, None], bits), axis=1).astype(np.uint8)
+    codewords = rm_core.encode_batch(rm_core.build_rm_code(m, 1), infos)
+    for layout in LAYOUTS:
+        got_codewords, got_infos = fht_ml_decode_batch(_lay_out(llrs, layout, shape),
+                                                       precompute_tables(m))
+        got_infos = _as_fibers(got_infos, layout)
+        assert np.array_equal(got_infos, infos[: len(got_infos)]), layout
+        assert np.array_equal(_as_fibers(got_codewords, layout), codewords[: len(got_infos)]), layout
+
+
+@pytest.mark.parametrize("descriptor", MENU_CODES + ("rm(3,1)xrm(3,1)xrm(3,1)",))
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_noiseless_codewords_decode_to_themselves(descriptor, mode):
+    code = product_code_from_descriptor(descriptor)
+    frames = 2 if code.n_t > 4096 else 64
+    rng = np.random.default_rng(len(descriptor))
+    sent = product_encode_batch(code, rng.integers(0, 2, (frames, code.k_t), dtype=np.uint8))
+    decided, _ = product_decode_batch(code, 1.0 - 2.0 * sent, 1.0, 3, mode)
+    assert np.array_equal(decided, sent)
+
+
+# -- the row-by-row decoder that the in-place kernels replaced ----------------
+
+def _rows_fht(rows):
+    rows_count, n = rows.shape
+    out = rows
+    for stage in range(n.bit_length() - 1):
+        half = 1 << stage
+        pairs = out.reshape(rows_count, n // (2 * half), 2, half)
+        out = np.stack((pairs[:, :, 0, :] + pairs[:, :, 1, :],
+                        pairs[:, :, 0, :] - pairs[:, :, 1, :]), axis=2).reshape(rows_count, n)
+    return out
+
+
+def _rows_soft(rows, code):
+    spectra = _rows_fht(rows)
+    m, n = code.m, code.n
+    ones = rm_core.first_order_rows(m).astype(bool)
+    info = np.empty((rows.shape[0], m + 1))
+    info[:, 0] = spectra.max(axis=1) - (-spectra).max(axis=1)
+    magnitudes = np.abs(spectra)
+    for b in range(m):
+        info[:, b + 1] = (magnitudes[:, np.flatnonzero(~ones[b])].max(axis=1)
+                          - magnitudes[:, np.flatnonzero(ones[b])].max(axis=1))
+    parity = ((info < 0.0).astype(np.uint8) @ code.generator) & 1
+    least = np.full((rows.shape[0], n), np.inf)
+    for b, support in enumerate(code.generator.astype(bool)):
+        least[:, support] = np.minimum(least[:, support], np.abs(info[:, b : b + 1]))
+    return (1.0 - 2.0 * parity) * least
+
+
+def _rows_hard(rows, code):
+    spectra = _rows_fht(rows)
+    index = np.argmax(np.abs(spectra), axis=-1)
+    peak = np.take_along_axis(spectra, index[:, None], axis=-1)[:, 0]
+    infos = np.empty((rows.shape[0], code.k), dtype=np.uint8)
+    infos[:, 0] = peak < 0.0
+    infos[:, 1:] = (index[:, None] >> np.arange(code.m - 1, -1, -1)[None, :]) & 1
+    return 1.0 - 2.0 * rm_core.encode_batch(code, infos)
+
+
+def _rows_decode(code, received, sigma2, iterations, mode):
+    count = received.shape[0]
+    tensor = ((2.0 / sigma2) * received).reshape((count,) + code.tensor_shape)
+    for _ in range(iterations):
+        for index, comp in enumerate(code.components):
+            axis = 1 + (code.q_count - 1 - index)
+            moved = np.moveaxis(tensor, axis, -1)
+            flat = moved.reshape(-1, comp.code.n)
+            if comp.decoder == BF_MAP:
+                updated = (brute_force_soft_map_batch(flat, comp.code)[1] if mode == "soft"
+                           else 1.0 - 2.0 * brute_force_ml_decode_batch(flat, comp.code))
+            else:
+                updated = (_rows_soft if mode == "soft" else _rows_hard)(flat, comp.code)
+            tensor = np.moveaxis(updated.reshape(moved.shape), -1, axis)
+    decided = (np.ascontiguousarray(tensor).reshape(count, code.n_t) < 0.0).astype(np.uint8)
+    return decided, tensor
+
+
+@pytest.mark.parametrize("descriptor", MENU_CODES + ("rm(3,1)xrm(3,1)xrm(3,1)",))
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_decode_is_bit_exact_with_the_row_by_row_decoder(descriptor, mode):
+    code = product_code_from_descriptor(descriptor)
+    frames = 8 if code.n_t > 4096 else 256  # the brute-force axis needs 1 MiB per frame
+    rng = np.random.default_rng(20260809)
+    sent = product_encode_batch(code, rng.integers(0, 2, (frames, code.k_t), dtype=np.uint8))
+    received = 1.0 - 2.0 * sent + rng.normal(0.0, 0.9, sent.shape)
+    decided, tensor = product_decode_batch(code, received, 0.81, 3, mode)
+    expected_decided, expected_tensor = _rows_decode(code, received, 0.81, 3, mode)
+    assert decided.dtype == np.uint8 and decided.shape == (frames, code.n_t)
+    assert np.array_equal(decided, expected_decided)
+    assert tensor.shape == expected_tensor.shape
+    assert np.array_equal(tensor, expected_tensor)
+

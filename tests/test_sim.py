@@ -152,3 +152,19 @@ def test_run_point_accepts_prebuilt_code():
     direct = sim.run_point(code, mode="soft", iterations=2, ebno_db=1.0,
                            min_block_errors=25, max_frames=3000, seed=77)
     assert direct == quick_point()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_ebno_is_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=(1.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        quick_point(ebno_db=bad)
+
+
+def test_json_config_records_result_format():
+    config = sim.SimConfig(code="rm(2,1)xrm(1,1)", ebno_dbs=(8.0,), min_block_errors=1,
+                           max_frames=10, seed=1, iterations=1)
+    stream = io.StringIO()
+    sim.emit_json(sim.run_sweep(config), config, stream)
+    assert json.loads(stream.getvalue())["config"]["result_format"] == sim.RESULT_FORMAT == 2

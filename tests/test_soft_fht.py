@@ -17,36 +17,47 @@ from rmproduct.soft_fht import (
 )
 
 
+def _halves(m, b):
+    """Spectrum indices of the zero and the one half of information bit b+1,
+    as the info-bit kernel reshapes them: (2^b, 2, n/2^(b+1))."""
+    x = np.arange(1 << m).reshape(1 << b, 2, (1 << m) >> (b + 1))
+    return x[:, 0].ravel(), x[:, 1].ravel()
+
+
 def test_tables_m1_index_sets():
-    tables = precompute_tables(1)
-    assert tables.zero_index_sets[0].tolist() == [0]
-    assert tables.one_index_sets[0].tolist() == [1]
+    row = rm_core.build_rm_code(1, 1).generator[1]
+    assert np.flatnonzero(row == 0).tolist() == [0]
+    assert np.flatnonzero(row == 1).tolist() == [1]
+    zero, one = _halves(1, 0)
+    assert zero.tolist() == [0] and one.tolist() == [1]
 
 
 def test_tables_index_sets_are_balanced_partitions():
     for m in range(1, 11):
-        tables = precompute_tables(m)
+        generator = rm_core.build_rm_code(m, 1).generator
         n = 1 << m
         for b in range(m):
-            zero = set(tables.zero_index_sets[b].tolist())
-            one = set(tables.one_index_sets[b].tolist())
+            zero = set(np.flatnonzero(generator[b + 1] == 0).tolist())
+            one = set(np.flatnonzero(generator[b + 1] == 1).tolist())
             assert len(zero) == len(one) == n // 2
             assert zero | one == set(range(n))
             assert not zero & one
+            kernel_zero, kernel_one = _halves(m, b)
+            assert set(kernel_zero.tolist()) == zero and set(kernel_one.tolist()) == one
 
 
 def test_tables_column_supports_m2():
-    tables = precompute_tables(2)
+    supports = rm_core.build_rm_code(2, 1).generator.astype(bool)
     # canonical generator [[1,1,1,1],[0,0,1,1],[0,1,0,1]]: first column touches
     # only the all-one row
-    assert np.flatnonzero(tables.column_supports[:, 0]).tolist() == [0]
-    assert np.flatnonzero(tables.column_supports[:, 3]).tolist() == [0, 1, 2]
+    assert np.flatnonzero(supports[:, 0]).tolist() == [0]
+    assert np.flatnonzero(supports[:, 3]).tolist() == [0, 1, 2]
 
 
 def test_tables_every_column_has_support():
     for m in (1, 3, 6):
-        tables = precompute_tables(m)
-        assert tables.support_sizes.min() >= 1
+        generator = rm_core.build_rm_code(m, 1).generator
+        assert generator.sum(axis=0).min() >= 1
 
 
 def test_tables_cap():
