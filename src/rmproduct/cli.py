@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-frames", type=int, default=10_000_000, metavar="N",
                         help="frame cap per point (default: 10^7)")
     parser.add_argument("--seed", type=int, default=1, metavar="SEED",
-                        help="master seed; frame i uses the stream (seed, i) (default: 1)")
+                        help="master seed; each chunk of 256 frames draws from streams "
+                             "keyed by (seed, chunk index) (default: 1)")
     parser.add_argument("--workers", default="1", metavar="N|auto",
                         help="worker processes; results do not depend on this (default: 1)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",

@@ -1,14 +1,18 @@
 """Monte-Carlo BLER/BER estimation over the BPSK/AWGN channel.
 
-Every frame owns a generator seeded from (master seed, frame index), frames
-are processed in fixed-size chunks, and tallies are folded in frame order, so
-a sweep's output is byte-identical for any worker count.  A point stops at
-the exact frame where the block-error target is met, or at the frame cap.
+Frames are processed in fixed-size chunks.  Chunk c draws its information
+bits and its noise from two streams spawned from SeedSequence((seed, c)), one
+row per frame, and tallies are folded in frame order, so a sweep's output is
+byte-identical for any worker count.  A point stops at the exact frame where
+the block-error target is met, or at the frame cap.
 """
 
+import contextlib
 import json
 import math
+import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -22,6 +26,9 @@ CHUNK_FRAMES = 256  # fixed batch size; part of the determinism contract
 # Version of the result values, recorded in the JSON config.  2: ops_per_decode
 # counts the n-1 compares and sign XORs per fiber of the min-sum butterfly.
 RESULT_FORMAT = 2
+# Version of the seeded random streams, recorded in the JSON config.  2: one
+# bit stream and one noise stream per chunk, keyed by (seed, chunk index).
+RNG_SCHEME = 2
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 CSV_COLUMNS = (
@@ -102,26 +109,49 @@ def _cached_code(descriptor: str) -> product.ProductCode:
     return product.product_code_from_descriptor(descriptor)
 
 
-def _frame_rng(seed: int, frame: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, frame)))
+def _chunk_draws(code: product.ProductCode, sigma2: float, seed: int,
+                 start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Information bits and noise of frames [start, start+count) of one chunk.
+
+    Each stream fills exactly `count` rows in order, so a partial chunk is the
+    head of the full one.  Drawing a full chunk and slicing it would give the
+    same frames, but a full noise block can be tens of MiB on long codes.
+    """
+    bit_seed, noise_seed = np.random.SeedSequence((seed, start // CHUNK_FRAMES)).spawn(2)
+    infos = np.random.default_rng(bit_seed).integers(0, 2, size=(count, code.k_t), dtype=np.uint8)
+    noise = np.random.default_rng(noise_seed).normal(0.0, sigma2 ** 0.5, size=(count, code.n_t))
+    return infos, noise
 
 
 def _run_chunk(descriptor: str, mode: str, iterations: int, sigma2: float,
                seed: int, start: int, count: int):
-    """Simulate frames [start, start+count); returns per-frame error tallies."""
+    """Simulate frames [start, start+count); returns per-frame error tallies.
+
+    `start` is a multiple of CHUNK_FRAMES and `count` at most CHUNK_FRAMES.
+    """
     code = _cached_code(descriptor)
-    infos = np.empty((count, code.k_t), dtype=np.uint8)
-    noise = np.empty((count, code.n_t))
-    sigma = sigma2 ** 0.5
-    for i in range(count):
-        rng = _frame_rng(seed, start + i)
-        infos[i] = rng.integers(0, 2, size=code.k_t, dtype=np.uint8)
-        noise[i] = rng.normal(0.0, sigma, size=code.n_t)
+    infos, noise = _chunk_draws(code, sigma2, seed, start, count)
     encoded = product.product_encode_batch(code, infos)
     received = channel.bpsk_modulate(encoded) + noise
     decided, _ = product.product_decode_batch(code, received, sigma2, iterations, mode)
     mismatch = decided != encoded
     return mismatch.any(axis=1), mismatch.sum(axis=1, dtype=np.int64)
+
+
+def _pool_size(workers: int) -> int:
+    """Worker processes for `workers`: at most the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
+def _open_pool(workers: int):
+    """A context manager giving a process pool for `workers` > 1, None for 1."""
+    if workers == 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=_pool_size(workers))
 
 
 def _ops_per_decode(code: product.ProductCode, mode: str, iterations: int) -> float:
@@ -133,12 +163,14 @@ def _ops_per_decode(code: product.ProductCode, mode: str, iterations: int) -> fl
 
 def run_point(code, *, mode: str, iterations: int, ebno_db: float,
               min_block_errors: int, max_frames: int, seed: int,
-              workers: int = 1) -> SimPoint:
+              workers: int = 1, pool: ProcessPoolExecutor | None = None) -> SimPoint:
     """Estimate BLER/BER at one Eb/N0 point.
 
     `code` is a ProductCode or its descriptor string.  Frames are compared at
     the codeword level (the decoder returns a hard codeword, not information
-    bits); a block error is any bit mismatch.
+    bits); a block error is any bit mismatch.  Chunks run in `pool` when one
+    is given (run_sweep shares one pool across its points), else in a pool
+    of their own when `workers` > 1, else in this process.
     """
     _check_ebno(ebno_db)
     descriptor = code.descriptor if isinstance(code, product.ProductCode) else code
@@ -165,29 +197,32 @@ def run_point(code, *, mode: str, iterations: int, ebno_db: float,
         bit_errors += int(bit_counts.sum())
         return False
 
-    starts = list(range(0, max_frames, CHUNK_FRAMES))
-    if workers == 1:
-        for start in starts:
-            count = min(CHUNK_FRAMES, max_frames - start)
-            if fold(*_run_chunk(descriptor, mode, iterations, sigma2, seed, start, count)):
-                break
-    else:
-        window = 2 * workers + 2
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = []
-            submitted = 0
-            done = False
-            while not done and (pending or submitted < len(starts)):
-                while submitted < len(starts) and len(pending) < window:
-                    start = starts[submitted]
-                    count = min(CHUNK_FRAMES, max_frames - start)
-                    pending.append(pool.submit(
-                        _run_chunk, descriptor, mode, iterations, sigma2, seed, start, count))
-                    submitted += 1
-                head = pending.pop(0)
-                done = fold(*head.result())
-            for future in pending:
-                future.cancel()
+    def chunk(start: int) -> tuple:
+        return (descriptor, mode, iterations, sigma2, seed, start,
+                min(CHUNK_FRAMES, max_frames - start))
+
+    starts = range(0, max_frames, CHUNK_FRAMES)  # lazy: max_frames may be 10**12
+    with contextlib.ExitStack() as stack:
+        if pool is None:
+            pool = stack.enter_context(_open_pool(workers))
+        if pool is None:
+            for start in starts:
+                if fold(*_run_chunk(*chunk(start))):
+                    break
+        else:
+            window = 2 * _pool_size(workers) + 2
+            pending = deque()
+            try:
+                for start in starts:
+                    pending.append(pool.submit(_run_chunk, *chunk(start)))
+                    if len(pending) == window and fold(*pending.popleft().result()):
+                        break
+                else:
+                    while pending and not fold(*pending.popleft().result()):
+                        pass
+            finally:
+                for future in pending:
+                    future.cancel()
 
     bler = block_errors / frames_run
     ci_lo, ci_hi = wilson_interval(block_errors, frames_run)
@@ -206,20 +241,22 @@ def run_point(code, *, mode: str, iterations: int, ebno_db: float,
 
 
 def run_sweep(config: SimConfig) -> list[SimPoint]:
-    """Run every grid point of a sweep configuration."""
-    return [
-        run_point(
-            config.code,
-            mode=config.decoder,
-            iterations=config.iterations,
-            ebno_db=ebno_db,
-            min_block_errors=config.min_block_errors,
-            max_frames=config.max_frames,
-            seed=config.seed,
-            workers=config.workers,
-        )
-        for ebno_db in config.ebno_dbs
-    ]
+    """Run every grid point of a sweep configuration in one process pool."""
+    with _open_pool(config.workers) as pool:
+        return [
+            run_point(
+                config.code,
+                mode=config.decoder,
+                iterations=config.iterations,
+                ebno_db=ebno_db,
+                min_block_errors=config.min_block_errors,
+                max_frames=config.max_frames,
+                seed=config.seed,
+                workers=config.workers,
+                pool=pool,
+            )
+            for ebno_db in config.ebno_dbs
+        ]
 
 
 def emit_csv(points, stream) -> None:
@@ -241,6 +278,7 @@ def emit_json(points, config: SimConfig, stream) -> None:
     for runtime_field in ("workers", "out_format", "out_path"):
         described.pop(runtime_field)
     described["result_format"] = RESULT_FORMAT
+    described["rng"] = RNG_SCHEME
     payload = {"config": described, "points": [asdict(p) for p in points]}
     json.dump(payload, stream, indent=2)
     stream.write("\n")
@@ -250,9 +288,19 @@ def emit(points, config: SimConfig) -> None:
     """Write the sweep to config.out_path ('stdout' or '-' for standard out)."""
     if config.out_path in ("stdout", "-"):
         _emit_to(points, config, sys.stdout)
-    else:
-        with open(config.out_path, "w", encoding="utf-8") as stream:
+        return
+    # Write beside the target and rename, so that a failed or killed write
+    # never leaves a truncated file at out_path.
+    directory, name = os.path.split(os.path.abspath(config.out_path))
+    partial = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    stream = open(partial, "w", encoding="utf-8")
+    try:
+        with stream:
             _emit_to(points, config, stream)
+        os.replace(partial, config.out_path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _emit_to(points, config: SimConfig, stream) -> None:

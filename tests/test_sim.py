@@ -1,5 +1,7 @@
 import io
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -167,4 +169,110 @@ def test_json_config_records_result_format():
                            max_frames=10, seed=1, iterations=1)
     stream = io.StringIO()
     sim.emit_json(sim.run_sweep(config), config, stream)
-    assert json.loads(stream.getvalue())["config"]["result_format"] == sim.RESULT_FORMAT == 2
+    described = json.loads(stream.getvalue())["config"]
+    assert described["result_format"] == sim.RESULT_FORMAT == 2
+    assert described["rng"] == sim.RNG_SCHEME == 2
+
+
+def chunk_args(ebno_db=0.5, seed=77):
+    descriptor = "rm(3,1)xrm(2,1)"
+    sigma2 = sim.channel.ebno_db_to_sigma2(ebno_db, sim._cached_code(descriptor).rate)
+    return descriptor, "soft", 2, sigma2, seed
+
+
+def test_partial_chunk_is_head_of_full_chunk():
+    descriptor, mode, iterations, sigma2, seed = chunk_args()
+    start = 2 * sim.CHUNK_FRAMES
+    full = sim._run_chunk(descriptor, mode, iterations, sigma2, seed, start, sim.CHUNK_FRAMES)
+    head = sim._run_chunk(descriptor, mode, iterations, sigma2, seed, start, 44)
+    assert 0 < full[0][:44].sum() < 44  # the tallies vary from frame to frame
+    for whole, part in zip(full, head):
+        np.testing.assert_array_equal(part, whole[:44])
+    code = sim._cached_code(descriptor)
+    full_draws = sim._chunk_draws(code, sigma2, seed, start, sim.CHUNK_FRAMES)
+    for whole, part in zip(full_draws, sim._chunk_draws(code, sigma2, seed, start, 44)):
+        np.testing.assert_array_equal(part, whole[:44])
+
+
+def test_chunks_of_one_seed_draw_different_frames():
+    descriptor, _, _, sigma2, seed = chunk_args()
+    code = sim._cached_code(descriptor)
+    first = sim._chunk_draws(code, sigma2, seed, 0, sim.CHUNK_FRAMES)
+    second = sim._chunk_draws(code, sigma2, seed, sim.CHUNK_FRAMES, sim.CHUNK_FRAMES)
+    for a, b in zip(first, second):
+        assert a.shape == b.shape
+        assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("min_block_errors, stops_on", [(40, "errors"), (10_000, "frame cap")])
+def test_workers_agree_on_a_partial_last_chunk(min_block_errors, stops_on):
+    max_frames = 700  # chunks of 256, 256 and 188 frames
+    serial = quick_point(ebno_db=2.0, min_block_errors=min_block_errors,
+                         max_frames=max_frames, workers=1)
+    parallel = quick_point(ebno_db=2.0, min_block_errors=min_block_errors,
+                           max_frames=max_frames, workers=2)
+    assert serial == parallel
+    if stops_on == "errors":
+        assert serial.block_errors == min_block_errors
+        assert sim.CHUNK_FRAMES < serial.frames < max_frames
+    else:
+        assert serial.frames == max_frames
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_huge_frame_cap_stops_at_the_error_target(workers):
+    point = quick_point(ebno_db=-2.0, min_block_errors=3, max_frames=10**12, workers=workers)
+    assert point.block_errors == 3
+    assert point.frames < sim.CHUNK_FRAMES
+
+
+def test_pool_is_clamped_to_usable_cpus_and_shared_by_a_sweep(monkeypatch):
+    pool_sizes = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: runs each call at submit, starts no process."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    cpus = len(os.sched_getaffinity(0))
+    point = quick_point(workers=10**6)
+    assert point == quick_point(workers=1)
+    config = sim.SimConfig(code="rm(3,1)xrm(2,1)", iterations=2, ebno_dbs=(0.0, 1.0, 2.0),
+                           min_block_errors=25, max_frames=3000, seed=77, workers=10**6)
+    assert sim.run_sweep(config)[1] == point
+    assert pool_sizes == [cpus, cpus]  # one for the point, one for the whole sweep
+
+
+def test_failed_write_leaves_existing_output_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "result.csv"
+    out.write_bytes(b"previous result\n")
+    config = sim.SimConfig(code="rm(2,1)", ebno_dbs=(1.0,), out_path=str(out))
+    points = [quick_point()]
+
+    def failing_emit_csv(points, stream):
+        stream.write("ebno_db,")
+        raise RuntimeError("write failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "emit_csv", failing_emit_csv)
+        with pytest.raises(RuntimeError, match="write failed"):
+            sim.emit(points, config)
+    assert out.read_bytes() == b"previous result\n"
+    assert os.listdir(tmp_path) == ["result.csv"]
+
+    sim.emit(points, config)
+    assert out.read_text().startswith("ebno_db,snr_db,")
+    assert os.listdir(tmp_path) == ["result.csv"]
