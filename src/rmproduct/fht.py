@@ -45,15 +45,6 @@ def prefix_butterfly(op, first, rows, dtype):
     return out
 
 
-def to_signs(bits):
-    """Bits as +-1 floats, bit 0 as +1; in place on one float copy, since
-    integer arithmetic into fresh temporaries is several times slower."""
-    signs = bits.astype(np.float64)
-    signs *= -2.0
-    signs += 1.0
-    return signs
-
-
 def fht(values, counter=None):
     """Transform along the last axis by the Sylvester matrix [[1,1],[1,-1]]^(kron m).
 
@@ -100,6 +91,3 @@ def fht_ml_decode_batch(llrs, code, counter=None):
         counter.compare += pre * post * (n - 1)
         counter.depth += m
     return restore(codewords), restore(infos)
-
-
-fht_ml_decode = fht_ml_decode_batch  # one kernel for any leading shape, none included

@@ -10,6 +10,8 @@ the final sign decision.
 Tensor layout: shape (n_Q, ..., n_2, n_1) with component 1 on the last
 (fastest-varying) axis; vectors are the row-major serialization of that
 tensor, so in 2D the element (row i2, col i1) sits at index i2*n_1 + i1.
+Encoding and decoding work on the last axis of any (..., k_t) or (..., n_t)
+array, one frame per leading index.
 """
 
 import math
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rm_core, soft_fht
-from .fht import fht_ml_decode_batch, to_signs
+from .channel import bpsk_modulate
+from .fht import fht_ml_decode_batch
 from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
 SOFT_FHT = "soft-fht"
@@ -134,76 +137,37 @@ def product_code_from_descriptor(text: str) -> ProductCode:
     return build_product_code(parse_product_descriptor(text))
 
 
-def product_encode(code: ProductCode, u) -> np.ndarray:
-    """Encode one length-k_t information word to a length-n_t codeword."""
-    u = np.asarray(u, dtype=np.uint8)
-    if u.shape != (code.k_t,):
-        raise ValueError(f"information word has shape {u.shape}, expected ({code.k_t},)")
-    return product_encode_batch(code, u[None, :])[0]
-
-
-def product_encode_batch(code: ProductCode, infos: np.ndarray) -> np.ndarray:
-    """Encode the rows of a (count, k_t) array to (count, n_t) codewords."""
+def product_encode_batch(code: ProductCode, infos) -> np.ndarray:
+    """Encode (..., k_t) information words to (..., n_t) codewords."""
     infos = np.asarray(infos, dtype=np.uint8)
-    if infos.ndim != 2 or infos.shape[1] != code.k_t:
-        raise ValueError(f"information block has shape {infos.shape}, expected (*, {code.k_t})")
-    count = infos.shape[0]
-    tensor = infos.reshape((count,) + code.info_shape)
+    if infos.ndim == 0 or infos.shape[-1] != code.k_t:
+        raise ValueError(f"information words have shape {infos.shape}, expected (..., {code.k_t})")
+    lead = infos.shape[:-1]
+    tensor = infos.reshape(lead + code.info_shape)
     for index, comp in enumerate(code.components):
-        axis = 1 + (code.q_count - 1 - index)
-        moved = np.moveaxis(tensor, axis, -1)
-        flat = moved.reshape(-1, comp.code.k)
-        encoded = rm_core.encode_batch(comp.code, flat)
-        grown = encoded.reshape(moved.shape[:-1] + (comp.code.n,))
-        tensor = np.moveaxis(grown, -1, axis)
-    return np.ascontiguousarray(tensor).reshape(count, code.n_t)
-
-
-def reshape_vector_to_tensor(v, code: ProductCode) -> np.ndarray:
-    """Lay a length-n_t vector out as the (n_Q, ..., n_1) tensor."""
-    v = np.asarray(v)
-    if v.shape != (code.n_t,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({code.n_t},)")
-    return v.reshape(code.tensor_shape)
-
-
-def reshape_tensor_to_vector(tensor, code: ProductCode) -> np.ndarray:
-    """Serialize an (n_Q, ..., n_1) tensor back to a length-n_t vector."""
-    tensor = np.asarray(tensor)
-    if tensor.shape != code.tensor_shape:
-        raise ValueError(f"tensor has shape {tensor.shape}, expected {code.tensor_shape}")
-    return tensor.reshape(code.n_t)
+        axis = -1 - index  # component 1 on the last axis
+        encoded = rm_core.encode_batch(comp.code, np.moveaxis(tensor, axis, -1))
+        tensor = np.moveaxis(encoded, -1, axis)
+    return tensor.reshape(lead + (code.n_t,))
 
 
 def _decode_fibers(comp: Component, fibers: np.ndarray, mode: str, counter) -> np.ndarray:
     """Run the component decoder along the last axis of `fibers`, a view of the tensor."""
-    if comp.decoder == BF_MAP:  # on a (count, n_q) copy
-        flat = fibers.reshape(-1, comp.code.n)
+    if comp.decoder == BF_MAP:
         if mode == SOFT:
-            updated = brute_force_soft_map_batch(flat, comp.code, counter)[1]
-        else:
-            updated = to_signs(brute_force_ml_decode_batch(flat, comp.code, counter))
-        return updated.reshape(fibers.shape)
+            return brute_force_soft_map_batch(fibers, comp.code, counter)[1]
+        return bpsk_modulate(brute_force_ml_decode_batch(fibers, comp.code, counter))
     if mode == SOFT:
         return soft_fht_decode_batch(fibers, comp.code, counter)
-    return to_signs(fht_ml_decode_batch(fibers, comp.code, counter)[0])  # +-1 re-enters the loop
+    return bpsk_modulate(fht_ml_decode_batch(fibers, comp.code, counter)[0])  # +-1 re-enters the loop
 
 
-def product_decode(code: ProductCode, y, sigma2: float, iterations: int = 3, mode: str = SOFT, counter=None):
-    """Decode one received vector; returns (hard codeword, final LLR tensor)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (code.n_t,):
-        raise ValueError(f"received vector has shape {y.shape}, expected ({code.n_t},)")
-    decided, tensors = product_decode_batch(code, y[None, :], sigma2, iterations, mode, counter)
-    return decided[0], tensors[0]
-
-
-def product_decode_batch(code: ProductCode, received: np.ndarray, sigma2: float,
+def product_decode_batch(code: ProductCode, received, sigma2: float,
                          iterations: int = 3, mode: str = SOFT, counter=None):
-    """Decode the rows of a (count, n_t) received array.
+    """Decode (..., n_t) received samples.
 
-    Returns (hard codewords (count, n_t) uint8, final LLR tensors with shape
-    (count,) + tensor_shape).  Fibers along one axis are decoded as a single
+    Returns (hard codewords (..., n_t) uint8, final LLR tensors with shape
+    (...) + tensor_shape).  Fibers along one axis are decoded as a single
     batch, in place on a view of the tensor; axes and iterations are sequential.
     """
     if sigma2 <= 0:
@@ -213,17 +177,20 @@ def product_decode_batch(code: ProductCode, received: np.ndarray, sigma2: float,
     if mode not in (SOFT, HARD):
         raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
     received = np.asarray(received, dtype=np.float64)
-    if received.ndim != 2 or received.shape[1] != code.n_t:
-        raise ValueError(f"received block has shape {received.shape}, expected (*, {code.n_t})")
+    if received.ndim == 0 or received.shape[-1] != code.n_t:
+        raise ValueError(f"received samples have shape {received.shape}, expected (..., {code.n_t})")
+    lead = received.shape[:-1]
+    received = received.reshape(-1, code.n_t)
     count = received.shape[0]
-    # frames on the fastest axis: every axis' kernel then runs long inner loops
+    # channel LLRs 2y/sigma2, with the frames on the fastest axis: every axis'
+    # kernel then runs long inner loops
     llrs = np.empty((code.n_t, count))
     np.multiply(2.0 / sigma2, received.T, out=llrs)
     tensor = np.moveaxis(llrs.reshape(code.tensor_shape + (count,)), -1, 0)
     for _ in range(iterations):
         for index, comp in enumerate(code.components):
-            axis = 1 + (code.q_count - 1 - index)
+            axis = -1 - index
             updated = _decode_fibers(comp, np.moveaxis(tensor, axis, -1), mode, counter)
             tensor = np.moveaxis(updated, -1, axis)
-    decided = (tensor < 0.0).reshape(count, code.n_t).view(np.uint8)  # sign(0) = +1 maps to bit 0
-    return decided, tensor
+    decided = (tensor < 0.0).reshape(lead + (code.n_t,)).view(np.uint8)  # sign(0) = +1 maps to bit 0
+    return decided, tensor.reshape(lead + code.tensor_shape)

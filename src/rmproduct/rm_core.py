@@ -136,19 +136,11 @@ def build_rm_code(m: int, r: int) -> RmCode:
     return RmCode(m=m, r=r, n=n, k=k, generator=generator, weight_profile=profile)
 
 
-def encode(code: RmCode, u) -> np.ndarray:
-    """Encode one information word: u . G over GF(2)."""
-    u = np.asarray(u, dtype=np.uint8)
-    if u.shape != (code.k,):
-        raise ValueError(f"information word has shape {u.shape}, expected ({code.k},)")
-    return encode_batch(code, u[None, :])[0]
-
-
-def encode_batch(code: RmCode, infos: np.ndarray) -> np.ndarray:
-    """Encode the rows of a (count, k) array to (count, n) codewords."""
+def encode_batch(code: RmCode, infos) -> np.ndarray:
+    """Encode (..., k) information words to (..., n) codewords: u . G over GF(2)."""
     infos = np.asarray(infos, dtype=np.uint8)
-    if infos.ndim != 2 or infos.shape[1] != code.k:
-        raise ValueError(f"information block has shape {infos.shape}, expected (*, {code.k})")
+    if infos.ndim == 0 or infos.shape[-1] != code.k:
+        raise ValueError(f"information words have shape {infos.shape}, expected (..., {code.k})")
     products = infos.astype(np.int32) @ code.generator.astype(np.int32)
     return (products & 1).astype(np.uint8)
 

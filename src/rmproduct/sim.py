@@ -154,10 +154,12 @@ def _open_pool(workers: int):
     return ProcessPoolExecutor(max_workers=_pool_size(workers))
 
 
-def _ops_per_decode(code: product.ProductCode, mode: str, iterations: int) -> float:
+@lru_cache(maxsize=64)
+def _ops_per_decode(descriptor: str, mode: str, iterations: int) -> float:
     """Counted operations of one decode; input-independent, so measured once."""
+    code = _cached_code(descriptor)
     counter = OpCounter()
-    product.product_decode_batch(code, np.zeros((1, code.n_t)), 1.0, iterations, mode, counter)
+    product.product_decode_batch(code, np.zeros(code.n_t), 1.0, iterations, mode, counter)
     return float(counter.total())
 
 
@@ -236,7 +238,7 @@ def run_point(code, *, mode: str, iterations: int, ebno_db: float,
         bler=bler,
         bler_ci_lo=ci_lo,
         bler_ci_hi=ci_hi,
-        ops_per_decode=_ops_per_decode(built, mode, iterations),
+        ops_per_decode=_ops_per_decode(descriptor, mode, iterations),
     )
 
 

@@ -12,17 +12,10 @@ decoder for small codes of order above one.
 import numpy as np
 
 from . import rm_core
-from .fht import fht, fiber_block, prefix_butterfly, to_signs
+from .channel import bpsk_modulate
+from .fht import fht, fiber_block, prefix_butterfly
 
-MAX_TABLES_M = 16
 MAX_BF_DIM = 16
-
-
-def precompute_tables(m: int) -> rm_core.RmCode:
-    """RM(m, 1): its m, n and k are all that the first-order kernels read."""
-    if not 1 <= m <= MAX_TABLES_M:
-        raise rm_core.SizeLimitError(f"tables require 1 <= m <= {MAX_TABLES_M}, got {m}")
-    return rm_core.build_rm_code(m, 1)
 
 
 def info_bit_llrs_batch(spectra, code, counter=None) -> np.ndarray:
@@ -63,7 +56,7 @@ def encoded_bit_llrs_batch(info_llrs, code, counter=None) -> np.ndarray:
     negative = block < 0.0
     least = prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:], np.float64)
     flips = prefix_butterfly(np.logical_xor, negative[:, :1], negative[:, 1:], bool)
-    least *= to_signs(flips)
+    least *= bpsk_modulate(flips)
     if counter is not None:
         counter.compare += pre * post * (code.n - 1)
         counter.sign_mult += pre * post * (code.n - 1)
@@ -75,12 +68,6 @@ def soft_fht_decode_batch(llrs, code, counter=None) -> np.ndarray:
     """Full SISO pipeline along the last axis of a (..., n) LLR array."""
     spectra = fht(llrs, counter)
     return encoded_bit_llrs_batch(info_bit_llrs_batch(spectra, code, counter), code, counter)
-
-
-# one kernel for any leading shape, a single vector included
-info_bit_llrs = info_bit_llrs_batch
-encoded_bit_llrs = encoded_bit_llrs_batch
-soft_fht_decode = soft_fht_decode_batch
 
 
 _CODEBOOKS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -96,8 +83,15 @@ def _codebook(code: rm_core.RmCode):
     if key not in _CODEBOOKS:
         infos = rm_core.binary_words(code.k)
         codewords = rm_core.encode_batch(code, infos)
-        _CODEBOOKS[key] = (infos, codewords, 1.0 - 2.0 * codewords.astype(np.float64))
+        _CODEBOOKS[key] = (infos, codewords, bpsk_modulate(codewords))
     return _CODEBOOKS[key]
+
+
+def _correlations(llrs, signs):
+    """The leading shape of (..., n) LLRs and their (rows, 2^k) correlations
+    with the +-1 codewords, one row per fiber in C order."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    return llrs.shape[:-1], llrs.reshape(-1, llrs.shape[-1]) @ signs.T
 
 
 def brute_force_soft_map_batch(llrs, code, counter=None):
@@ -107,12 +101,9 @@ def brute_force_soft_map_batch(llrs, code, counter=None):
     by exhaustive correlation against all 2^k codewords.
     """
     infos, codewords, signs = _codebook(code)
-    llrs = np.asarray(llrs, dtype=np.float64)
-    lead, n = llrs.shape[:-1], llrs.shape[-1]
-    llrs = llrs.reshape(-1, n)
-    rows = llrs.shape[0]
-    scores = llrs @ signs.T  # (rows, 2^k) correlations
-    count = scores.shape[1]
+    lead, scores = _correlations(llrs, signs)
+    rows, count = scores.shape
+    n = code.n
     info_llrs = np.empty((rows, code.k))
     for b in range(code.k):
         zero = infos[:, b] == 0
@@ -128,18 +119,15 @@ def brute_force_soft_map_batch(llrs, code, counter=None):
     return info_llrs.reshape(lead + (code.k,)), coded_llrs.reshape(lead + (n,))
 
 
-brute_force_soft_map = brute_force_soft_map_batch
-
-
 def brute_force_ml_decode_batch(llrs, code, counter=None) -> np.ndarray:
-    """Exhaustive hard ML decisions (ties to the lowest codeword index)."""
+    """Exhaustive hard ML codewords (..., n) along the last axis of (..., n)
+    LLRs, over any small code (ties to the lowest codeword index)."""
     _, codewords, signs = _codebook(code)
-    llrs = np.asarray(llrs, dtype=np.float64)
-    scores = llrs @ signs.T
+    lead, scores = _correlations(llrs, signs)
     best = np.argmax(scores, axis=1)
     if counter is not None:
-        rows, n = llrs.shape
-        counter.add_sub += rows * scores.shape[1] * (n - 1)
-        counter.compare += rows * (scores.shape[1] - 1)
-        counter.depth += (n.bit_length() - 1) + code.k
-    return codewords[best]
+        rows, count = scores.shape
+        counter.add_sub += rows * count * (code.n - 1)
+        counter.compare += rows * (count - 1)
+        counter.depth += (code.n.bit_length() - 1) + code.k
+    return codewords[best].reshape(lead + (code.n,))

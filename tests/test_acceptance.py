@@ -19,7 +19,6 @@ from rmproduct.product import product_code_from_descriptor, product_decode_batch
 from rmproduct.soft_fht import (
     brute_force_soft_map_batch,
     info_bit_llrs_batch,
-    precompute_tables,
     soft_fht_decode_batch,
 )
 
@@ -77,10 +76,9 @@ def test_criterion_1_hard_ml_oracle_equivalence():
     checked = 0
     for m in (2, 3, 4):
         code = rm_core.build_rm_code(m, 1)
-        tables = precompute_tables(m)
         rng = np.random.default_rng(SEED + m)
         block = rng.normal(size=(1000, code.n)) * 2.0
-        decoded, _ = fht_ml_decode_batch(block, tables)
+        decoded, _ = fht_ml_decode_batch(block, code)
         scores, words = _exhaustive_scores(block, code)
         top_two = -np.sort(-scores, axis=1)[:, :2]
         unique = top_two[:, 0] > top_two[:, 1]
@@ -95,10 +93,9 @@ def test_criterion_2_soft_oracle_equivalence():
     worst = 0.0
     for m in (2, 3, 4, 5):
         code = rm_core.build_rm_code(m, 1)
-        tables = precompute_tables(m)
         rng = np.random.default_rng(SEED + 10 + m)
         block = rng.normal(size=(1000, code.n)) * 2.0
-        fast = info_bit_llrs_batch(fht(block), tables)
+        fast = info_bit_llrs_batch(fht(block), code)
         slow = brute_force_soft_map_batch(block, code)[0]
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     _report(2, "soft info-bit LLR oracle equivalence", worst < 1e-9,
@@ -110,11 +107,10 @@ def test_criterion_3_sign_accordance():
     checked = 0
     for m in range(2, 7):
         code = rm_core.build_rm_code(m, 1)
-        tables = precompute_tables(m)
         rng = np.random.default_rng(SEED + 20 + m)
         block = rng.normal(size=(10_000, code.n)) * 1.5
-        soft_hard = (soft_fht_decode_batch(block, tables) < 0).astype(np.uint8)
-        ml_hard, _ = fht_ml_decode_batch(block, tables)
+        soft_hard = (soft_fht_decode_batch(block, code) < 0).astype(np.uint8)
+        ml_hard, _ = fht_ml_decode_batch(block, code)
         scores, _ = _exhaustive_scores(block, code)
         top_two = -np.sort(-scores, axis=1)[:, :2]
         unique = top_two[:, 0] > top_two[:, 1]

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from rmproduct import rm_core
-from rmproduct.fht import fht, fht_ml_decode, fht_ml_decode_batch
+from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
-from rmproduct.soft_fht import precompute_tables
 
 
 def sylvester(m):
@@ -80,32 +79,32 @@ def test_operation_count_and_depth():
 
 
 def test_ml_decode_all_positive():
-    tables = precompute_tables(2)
-    codeword, info = fht_ml_decode([10.0, 10.0, 10.0, 10.0], tables)
+    code = rm_core.build_rm_code(2, 1)
+    codeword, info = fht_ml_decode_batch([10.0, 10.0, 10.0, 10.0], code)
     assert codeword.tolist() == [0, 0, 0, 0]
     assert info.tolist() == [0, 0, 0]
 
 
 def test_ml_decode_all_negative():
-    tables = precompute_tables(2)
-    codeword, info = fht_ml_decode([-10.0, -10.0, -10.0, -10.0], tables)
+    code = rm_core.build_rm_code(2, 1)
+    codeword, info = fht_ml_decode_batch([-10.0, -10.0, -10.0, -10.0], code)
     assert codeword.tolist() == [1, 1, 1, 1]
     assert info.tolist() == [1, 0, 0]
 
 
 def test_ml_decode_zero_llrs_break_to_zero_word():
     # all-zero spectrum: smallest index wins, sign(0) counts as positive
-    tables = precompute_tables(3)
-    codeword, info = fht_ml_decode(np.zeros(8), tables)
+    code = rm_core.build_rm_code(3, 1)
+    codeword, info = fht_ml_decode_batch(np.zeros(8), code)
     assert not codeword.any()
     assert not info.any()
 
 
 def test_ml_decode_magnitude_tie_prefers_smallest_index():
     # spectrum engineered to [5, -5, 0, 0]: equal magnitudes at indices 0 and 1
-    tables = precompute_tables(2)
+    code = rm_core.build_rm_code(2, 1)
     llr = fht([5.0, -5.0, 0.0, 0.0]) / 4.0
-    codeword, info = fht_ml_decode(llr, tables)
+    codeword, info = fht_ml_decode_batch(llr, code)
     assert codeword.tolist() == [0, 0, 0, 0]
     assert info.tolist() == [0, 0, 0]
 
@@ -113,7 +112,6 @@ def test_ml_decode_magnitude_tie_prefers_smallest_index():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_ml_decode_matches_exhaustive_search(m):
     code = rm_core.build_rm_code(m, 1)
-    tables = precompute_tables(m)
     rng = np.random.default_rng(100 + m)
     checked = 0
     for _ in range(300):
@@ -121,7 +119,7 @@ def test_ml_decode_matches_exhaustive_search(m):
         expected_cw, expected_info, unique = naive_ml(llr, code)
         if not unique:
             continue
-        codeword, info = fht_ml_decode(llr, tables)
+        codeword, info = fht_ml_decode_batch(llr, code)
         assert np.array_equal(codeword, expected_cw)
         assert np.array_equal(info, expected_info)
         checked += 1
@@ -129,12 +127,12 @@ def test_ml_decode_matches_exhaustive_search(m):
 
 
 def test_ml_decode_batch_matches_single():
-    tables = precompute_tables(4)
+    code = rm_core.build_rm_code(4, 1)
     rng = np.random.default_rng(9)
     block = rng.normal(size=(50, 16))
-    codewords, infos = fht_ml_decode_batch(block, tables)
+    codewords, infos = fht_ml_decode_batch(block, code)
     for i in range(50):
-        cw, info = fht_ml_decode(block[i], tables)
+        cw, info = fht_ml_decode_batch(block[i], code)
         assert np.array_equal(codewords[i], cw)
         assert np.array_equal(infos[i], info)
 

@@ -4,7 +4,9 @@ The fast kernels are checked against dense references written here, for
 m = 1..12, on 1-D, 2-D and 3-D inputs and on `np.moveaxis` views of every
 axis of 2- and 3-axis tensors, with random LLRs, exact zeros, exact ties and
 magnitudes near 1e150.  Hypothesis draws the cases derandomized, so every
-run checks the same examples.  The product decoder is checked bit for bit
+run checks the same examples.  The brute-force kernels and the encoder take
+the same inputs and are checked against row-by-row calls.  The product
+decoder is checked bit for bit
 against the row-by-row decoder it replaced (index-set max-log, min-sum over
 generator column supports, a copy of each axis' fibers), kept here as a
 reference.
@@ -28,7 +30,6 @@ from rmproduct.soft_fht import (
     brute_force_soft_map_batch,
     encoded_bit_llrs_batch,
     info_bit_llrs_batch,
-    precompute_tables,
 )
 from test_acceptance import MENU_CODES
 
@@ -158,7 +159,7 @@ def test_info_bit_llrs_match_dense_max_log(m, case):
     spectra = _values(rng, kind, (shape[0] * shape[1], 1 << m))
     dense = _dense_info(spectra, m)
     for layout in LAYOUTS:
-        got = info_bit_llrs_batch(_lay_out(spectra, layout, shape), precompute_tables(m))
+        got = info_bit_llrs_batch(_lay_out(spectra, layout, shape), rm_core.build_rm_code(m, 1))
         assert got.shape[:-1] == _lay_out(spectra, layout, shape).shape[:-1]
         fast = _as_fibers(got, layout)
         assert np.array_equal(fast, dense[: len(fast)]), layout
@@ -172,7 +173,7 @@ def test_min_sum_matches_dense_column_supports(m, case):
     info = _values(rng, kind, (shape[0] * shape[1], m + 1))
     dense = _dense_min_sum(info, m)
     for layout in LAYOUTS:
-        got = encoded_bit_llrs_batch(_lay_out(info, layout, shape), precompute_tables(m))
+        got = encoded_bit_llrs_batch(_lay_out(info, layout, shape), rm_core.build_rm_code(m, 1))
         assert got.shape[:-1] == _lay_out(info, layout, shape).shape[:-1]
         fast = _as_fibers(got, layout)
         assert np.array_equal(fast, dense[: len(fast)]), layout
@@ -192,7 +193,7 @@ def test_hard_ml_matches_dense_argmax(m, case):
     codewords = rm_core.encode_batch(rm_core.build_rm_code(m, 1), infos)
     for layout in LAYOUTS:
         got_codewords, got_infos = fht_ml_decode_batch(_lay_out(llrs, layout, shape),
-                                                       precompute_tables(m))
+                                                       rm_core.build_rm_code(m, 1))
         got_infos = _as_fibers(got_infos, layout)
         assert np.array_equal(got_infos, infos[: len(got_infos)]), layout
         assert np.array_equal(_as_fibers(got_codewords, layout), codewords[: len(got_infos)]), layout
@@ -207,6 +208,42 @@ def test_noiseless_codewords_decode_to_themselves(descriptor, mode):
     sent = product_encode_batch(code, rng.integers(0, 2, (frames, code.k_t), dtype=np.uint8))
     decided, _ = product_decode_batch(code, 1.0 - 2.0 * sent, 1.0, 3, mode)
     assert np.array_equal(decided, sent)
+
+
+@pytest.mark.parametrize("m, r", [(2, 2), (3, 1), (3, 2), (4, 2)])
+@DIFFERENTIAL
+@given(draws())
+def test_brute_force_and_encode_take_any_leading_shape(m, r, case):
+    kind, shape, rng = case
+    code = rm_core.build_rm_code(m, r)
+    count = shape[0] * shape[1]
+    llrs = _values(rng, kind, (count, code.n))
+    words = rng.integers(0, 2, (count, code.k), dtype=np.uint8)
+    codebook = rm_core.enumerate_codewords(code)  # row j encodes the binary word of j
+    for layout in LAYOUTS:
+        fibers, infos = _lay_out(llrs, layout, shape), _lay_out(words, layout, shape)
+        lead = fibers.shape[:-1]
+        rows, info_rows = fibers.reshape(-1, code.n).copy(), infos.reshape(-1, code.k).copy()
+        info, coded = brute_force_soft_map_batch(fibers, code)
+        decided = brute_force_ml_decode_batch(fibers, code)
+        encoded = rm_core.encode_batch(code, infos)
+        assert info.shape == lead + (code.k,) and coded.shape == decided.shape == lead + (code.n,)
+        assert encoded.shape == lead + (code.n,) and encoded.dtype == np.uint8
+        assert np.array_equal(encoded.reshape(-1, code.n),
+                              [rm_core.encode_batch(code, row) for row in info_rows]), layout
+        # one call on the rows is the same arithmetic
+        assert np.array_equal(info.reshape(-1, code.k), brute_force_soft_map_batch(rows, code)[0])
+        assert np.array_equal(coded.reshape(-1, code.n), brute_force_soft_map_batch(rows, code)[1])
+        assert np.array_equal(decided.reshape(-1, code.n), brute_force_ml_decode_batch(rows, code))
+        if kind not in EXACT_KINDS:  # a one-row product may round differently
+            continue
+        singles = [brute_force_soft_map_batch(row, code) for row in rows]
+        assert np.array_equal(info.reshape(-1, code.k), [single[0] for single in singles]), layout
+        assert np.array_equal(coded.reshape(-1, code.n), [single[1] for single in singles]), layout
+        assert np.array_equal(decided.reshape(-1, code.n),
+                              [brute_force_ml_decode_batch(row, code) for row in rows]), layout
+        scores = rows @ (1.0 - 2.0 * codebook).T  # exact: ties stay ties
+        assert np.array_equal(decided.reshape(-1, code.n), codebook[np.argmax(scores, axis=1)])
 
 
 # -- the row-by-row decoder that the in-place kernels replaced ----------------

@@ -9,14 +9,10 @@ from rmproduct.product import (
     build_product_code,
     parse_product_descriptor,
     product_code_from_descriptor,
-    product_decode,
     product_decode_batch,
-    product_encode,
     product_encode_batch,
-    reshape_tensor_to_vector,
-    reshape_vector_to_tensor,
 )
-from rmproduct.soft_fht import precompute_tables, soft_fht_decode_batch
+from rmproduct.soft_fht import soft_fht_decode_batch
 
 
 def codeword_set(code):
@@ -80,7 +76,7 @@ def test_bfmap_component_dimension_cap():
 
 def test_encode_zero_maps_to_zero():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
-    assert not product_encode(code, np.zeros(code.k_t, dtype=np.uint8)).any()
+    assert not product_encode_batch(code, np.zeros(code.k_t, dtype=np.uint8)).any()
 
 
 def test_encode_fibers_exhaustively():
@@ -89,7 +85,7 @@ def test_encode_fibers_exhaustively():
     rows = codeword_set(code.components[0].code)  # axis 1 = last tensor axis
     cols = codeword_set(code.components[1].code)
     for u in rm_core.binary_words(code.k_t):
-        tensor = reshape_vector_to_tensor(product_encode(code, u), code)
+        tensor = product_encode_batch(code, u).reshape(code.tensor_shape)
         assert tensor.shape == (2, 4)
         for row in tensor:
             assert tuple(row) in rows
@@ -104,7 +100,7 @@ def test_encode_fibers_sampled_large_code():
     rng = np.random.default_rng(81)
     for _ in range(20):
         u = rng.integers(0, 2, code.k_t, dtype=np.uint8)
-        tensor = reshape_vector_to_tensor(product_encode(code, u), code)
+        tensor = product_encode_batch(code, u).reshape(code.tensor_shape)
         for row in tensor:
             assert tuple(row) in rows
         for col in tensor.T:
@@ -116,7 +112,7 @@ def test_three_dimensional_fibers():
     books = [codeword_set(c.code) for c in code.components]
     rng = np.random.default_rng(82)
     u = rng.integers(0, 2, code.k_t, dtype=np.uint8)
-    tensor = reshape_vector_to_tensor(product_encode(code, u), code)
+    tensor = product_encode_batch(code, u).reshape(code.tensor_shape)
     assert tensor.shape == (2, 2, 4)
     # component q lives on tensor axis Q-q: fibers along each axis
     for axis, book in ((2, books[0]), (1, books[1]), (0, books[2])):
@@ -144,32 +140,20 @@ def test_product_min_distance_bruteforce():
     assert rm_core.min_distance_bruteforce(code) == 8 == code.d_t
 
 
-def test_reshape_round_trip():
-    code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
-    rng = np.random.default_rng(91)
-    v = rng.normal(size=code.n_t)
-    tensor = reshape_vector_to_tensor(v, code)
-    assert tensor.shape == code.tensor_shape == (4, 8)
-    assert np.array_equal(reshape_tensor_to_vector(tensor, code), v)
-
-
 def test_reshape_2d_index_convention():
-    # element (row i2, col i1) of the tensor sits at vector index i2*n1 + i1
-    code = product_code_from_descriptor("rm(2,1)xrm(1,1)")
-    v = np.arange(code.n_t, dtype=float)
-    tensor = reshape_vector_to_tensor(v, code)
-    n1 = code.components[0].code.n
-    for i2 in range(tensor.shape[0]):
-        for i1 in range(tensor.shape[1]):
-            assert tensor[i2, i1] == i2 * n1 + i1
-
-
-def test_reshape_size_checks():
-    code = product_code_from_descriptor("rm(2,1)xrm(1,1)")
-    with pytest.raises(ValueError):
-        reshape_vector_to_tensor(np.zeros(5), code)
-    with pytest.raises(ValueError):
-        reshape_tensor_to_vector(np.zeros((4, 2)), code)
+    # element (row i2, col i1) of the tensor sits at vector index i2*n1 + i1:
+    # on every codeword, those rows are component-1 and those columns are
+    # component-2 codewords
+    code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
+    rows = codeword_set(code.components[0].code)
+    cols = codeword_set(code.components[1].code)
+    n1, n2 = (c.code.n for c in code.components)
+    assert code.tensor_shape == (n2, n1) == (4, 8)
+    for sent in code.enumerate_codewords():
+        for i2 in range(n2):
+            assert tuple(sent[[i2 * n1 + i1 for i1 in range(n1)]]) in rows
+        for i1 in range(n1):
+            assert tuple(sent[[i2 * n1 + i1 for i2 in range(n2)]]) in cols
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
@@ -178,8 +162,8 @@ def test_noiseless_decode_recovers_codeword(mode):
     rng = np.random.default_rng(101)
     for _ in range(10):
         u = rng.integers(0, 2, code.k_t, dtype=np.uint8)
-        sent = product_encode(code, u)
-        decided, _ = product_decode(code, 1.0 - 2.0 * sent.astype(float), 1.0, 1, mode)
+        sent = product_encode_batch(code, u)
+        decided, _ = product_decode_batch(code, 1.0 - 2.0 * sent.astype(float), 1.0, 1, mode)
         assert np.array_equal(decided, sent)
 
 
@@ -187,40 +171,40 @@ def test_noiseless_decode_bfmap_component():
     code = product_code_from_descriptor("rm(4,1)xrm(3,2):bfmap")
     rng = np.random.default_rng(102)
     u = rng.integers(0, 2, code.k_t, dtype=np.uint8)
-    sent = product_encode(code, u)
+    sent = product_encode_batch(code, u)
     for mode in ("soft", "hard"):
-        decided, _ = product_decode(code, 1.0 - 2.0 * sent.astype(float), 1.0, 2, mode)
+        decided, _ = product_decode_batch(code, 1.0 - 2.0 * sent.astype(float), 1.0, 2, mode)
         assert np.array_equal(decided, sent)
 
 
 def test_single_iteration_soft_equals_manual_axis_sweep():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
-    t1 = precompute_tables(3)
-    t2 = precompute_tables(2)
+    code1 = rm_core.build_rm_code(3, 1)
+    code2 = rm_core.build_rm_code(2, 1)
     rng = np.random.default_rng(111)
     y = rng.normal(size=code.n_t)
     sigma2 = 0.8
-    decided, tensor = product_decode(code, y, sigma2, 1, "soft")
+    decided, tensor = product_decode_batch(code, y, sigma2, 1, "soft")
 
     manual = (2.0 / sigma2 * y).reshape(4, 8)
-    manual = soft_fht_decode_batch(manual, t1)            # axis 1: rows
-    manual = soft_fht_decode_batch(manual.T, t2).T        # axis 2: columns
+    manual = soft_fht_decode_batch(manual, code1)            # axis 1: rows
+    manual = soft_fht_decode_batch(manual.T, code2).T        # axis 2: columns
     assert np.allclose(tensor, manual, rtol=1e-12)
     assert np.array_equal(decided, (manual.reshape(-1) < 0).astype(np.uint8))
 
 
 def test_single_iteration_hard_equals_manual_axis_sweep():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
-    t1 = precompute_tables(3)
-    t2 = precompute_tables(2)
+    code1 = rm_core.build_rm_code(3, 1)
+    code2 = rm_core.build_rm_code(2, 1)
     rng = np.random.default_rng(112)
     y = rng.normal(size=code.n_t)
-    decided, tensor = product_decode(code, y, 1.0, 1, "hard")
+    decided, tensor = product_decode_batch(code, y, 1.0, 1, "hard")
 
     manual = (2.0 * y).reshape(4, 8)
-    rows_hard, _ = fht_ml_decode_batch(manual, t1)
+    rows_hard, _ = fht_ml_decode_batch(manual, code1)
     manual = 1.0 - 2.0 * rows_hard                         # hard decisions re-modulated
-    cols_hard, _ = fht_ml_decode_batch(manual.T, t2)
+    cols_hard, _ = fht_ml_decode_batch(manual.T, code2)
     manual = (1.0 - 2.0 * cols_hard).T
     assert np.array_equal(tensor, manual)
     assert np.array_equal(decided, (manual.reshape(-1) < 0).astype(np.uint8))
@@ -231,8 +215,8 @@ def test_soft_decision_invariant_to_noise_variance_scale():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
     rng = np.random.default_rng(113)
     y = rng.normal(size=code.n_t)
-    a, _ = product_decode(code, y, 0.5, 3, "soft")
-    b, _ = product_decode(code, y, 4.0, 3, "soft")
+    a, _ = product_decode_batch(code, y, 0.5, 3, "soft")
+    b, _ = product_decode_batch(code, y, 4.0, 3, "soft")
     assert np.array_equal(a, b)
 
 
@@ -242,28 +226,47 @@ def test_decode_batch_matches_single():
     block = rng.normal(size=(16, code.n_t))
     decided, tensors = product_decode_batch(code, block, 1.0, 2, "soft")
     for i in range(16):
-        single, tensor = product_decode(code, block[i], 1.0, 2, "soft")
+        single, tensor = product_decode_batch(code, block[i], 1.0, 2, "soft")
+        assert single.shape == (code.n_t,) and tensor.shape == code.tensor_shape
         assert np.array_equal(decided[i], single)
         assert np.array_equal(tensors[i], tensor)
+
+
+@pytest.mark.parametrize("descriptor", ["rm(3,1)xrm(2,1)", "rm(2,1)xrm(1,1)xrm(2,1)",
+                                        "rm(3,2):bfmapxrm(2,1)"])
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_encode_and_decode_take_any_leading_shape(descriptor, mode):
+    code = product_code_from_descriptor(descriptor)
+    rng = np.random.default_rng(115)
+    infos = rng.integers(0, 2, (2, 3, code.k_t), dtype=np.uint8)
+    sent = product_encode_batch(code, infos)
+    assert sent.shape == (2, 3, code.n_t)
+    assert np.array_equal(sent.reshape(6, -1), product_encode_batch(code, infos.reshape(6, -1)))
+    received = 1.0 - 2.0 * sent + rng.normal(0.0, 0.8, sent.shape)
+    decided, tensors = product_decode_batch(code, received, 2.0, 2, mode)
+    assert decided.shape == (2, 3, code.n_t) and tensors.shape == (2, 3) + code.tensor_shape
+    flat_decided, flat_tensors = product_decode_batch(code, received.reshape(6, -1), 2.0, 2, mode)
+    assert np.array_equal(decided.reshape(6, -1), flat_decided)
+    assert np.array_equal(tensors.reshape((6,) + code.tensor_shape), flat_tensors)
 
 
 def test_decode_validates_arguments():
     code = product_code_from_descriptor("rm(2,1)xrm(1,1)")
     y = np.zeros(code.n_t)
     with pytest.raises(ValueError):
-        product_decode(code, y, 0.0, 1, "soft")
+        product_decode_batch(code, y, 0.0, 1, "soft")
     with pytest.raises(ValueError):
-        product_decode(code, y, 1.0, 0, "soft")
+        product_decode_batch(code, y, 1.0, 0, "soft")
     with pytest.raises(ValueError):
-        product_decode(code, y, 1.0, 1, "fuzzy")
+        product_decode_batch(code, y, 1.0, 1, "fuzzy")
     with pytest.raises(ValueError):
-        product_decode(code, np.zeros(3), 1.0, 1, "soft")
+        product_decode_batch(code, np.zeros(3), 1.0, 1, "soft")
 
 
 def test_encode_validates_arguments():
     code = product_code_from_descriptor("rm(2,1)xrm(1,1)")
     with pytest.raises(ValueError):
-        product_encode(code, np.zeros(code.k_t + 1, dtype=np.uint8))
+        product_encode_batch(code, np.zeros(code.k_t + 1, dtype=np.uint8))
 
 
 def test_single_component_product():
@@ -272,9 +275,9 @@ def test_single_component_product():
     assert (code.n_t, code.k_t, code.d_t) == (8, 4, 4)
     rng = np.random.default_rng(121)
     u = rng.integers(0, 2, code.k_t, dtype=np.uint8)
-    sent = product_encode(code, u)
-    assert np.array_equal(sent, rm_core.encode(code.components[0].code, u))
-    decided, _ = product_decode(code, 1.0 - 2.0 * sent.astype(float), 1.0, 1, "soft")
+    sent = product_encode_batch(code, u)
+    assert np.array_equal(sent, rm_core.encode_batch(code.components[0].code, u))
+    decided, _ = product_decode_batch(code, 1.0 - 2.0 * sent.astype(float), 1.0, 1, "soft")
     assert np.array_equal(decided, sent)
 
 

@@ -1,0 +1,16 @@
+"""README's "Library" example runs as written against the current names."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None, "no python block under the Library heading"
+    namespace = {}
+    exec(compile(block.group(1), f"{README}:Library", "exec"), namespace)
+    assert 0.0 <= namespace["point"].bler <= 1.0

@@ -88,9 +88,9 @@ def test_generator_min_row_weight():
 
 def test_encode_examples():
     code = rm_core.build_rm_code(2, 1)
-    assert rm_core.encode(code, [0, 0, 0]).tolist() == [0, 0, 0, 0]
-    assert rm_core.encode(code, [1, 0, 0]).tolist() == [1, 1, 1, 1]
-    assert rm_core.encode(code, [1, 1, 0]).tolist() == [1, 1, 0, 0]
+    assert rm_core.encode_batch(code, [0, 0, 0]).tolist() == [0, 0, 0, 0]
+    assert rm_core.encode_batch(code, [1, 0, 0]).tolist() == [1, 1, 1, 1]
+    assert rm_core.encode_batch(code, [1, 1, 0]).tolist() == [1, 1, 0, 0]
 
 
 def test_encode_is_linear():
@@ -99,14 +99,14 @@ def test_encode_is_linear():
     for _ in range(20):
         u = rng.integers(0, 2, code.k, dtype=np.uint8)
         v = rng.integers(0, 2, code.k, dtype=np.uint8)
-        both = rm_core.encode(code, u ^ v)
-        assert np.array_equal(both, rm_core.encode(code, u) ^ rm_core.encode(code, v))
+        both = rm_core.encode_batch(code, u ^ v)
+        assert np.array_equal(both, rm_core.encode_batch(code, u) ^ rm_core.encode_batch(code, v))
 
 
 def test_encode_rejects_wrong_length():
     code = rm_core.build_rm_code(3, 1)
     with pytest.raises(ValueError):
-        rm_core.encode(code, [1, 0])
+        rm_core.encode_batch(code, [1, 0])
 
 
 def test_enumerate_codewords_rm11():
@@ -122,7 +122,7 @@ def test_enumerate_codewords_counts_and_order():
     assert len({tuple(w) for w in words}) == 8  # full-rank generator: all distinct
     # row j encodes the binary word of j, MSB first
     u = rm_core.binary_words(code.k)[5]
-    assert np.array_equal(words[5], rm_core.encode(code, u))
+    assert np.array_equal(words[5], rm_core.encode_batch(code, u))
 
 
 def test_enumerate_codewords_cap():

@@ -6,7 +6,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from rmproduct import sim
+from rmproduct import product, sim
 
 
 def quick_point(**overrides):
@@ -85,6 +85,24 @@ def test_hard_mode_counts_fewer_operations():
     soft = quick_point(mode="soft")
     hard = quick_point(mode="hard")
     assert hard.ops_per_decode <= soft.ops_per_decode
+
+
+def test_operation_count_is_measured_once_per_setting(monkeypatch):
+    sim._ops_per_decode.cache_clear()
+    counted = []
+    decode = product.product_decode_batch
+
+    def spy(code, received, sigma2, iterations=3, mode="soft", counter=None):
+        if counter is not None:
+            counted.append((code.descriptor, mode, iterations))
+        return decode(code, received, sigma2, iterations, mode, counter)
+
+    monkeypatch.setattr(product, "product_decode_batch", spy)
+    first = quick_point(max_frames=8)
+    again = quick_point(max_frames=8, ebno_db=3.0)
+    quick_point(max_frames=8, mode="hard")
+    assert counted == [("rm(3,1)xrm(2,1)", "soft", 2), ("rm(3,1)xrm(2,1)", "hard", 2)]
+    assert first.ops_per_decode == again.ops_per_decode
 
 
 def test_bler_monotone_in_ebno_up_to_ci_overlap():

@@ -6,13 +6,9 @@ from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
 from rmproduct.soft_fht import (
     brute_force_ml_decode_batch,
-    brute_force_soft_map,
     brute_force_soft_map_batch,
-    encoded_bit_llrs,
-    info_bit_llrs,
+    encoded_bit_llrs_batch,
     info_bit_llrs_batch,
-    precompute_tables,
-    soft_fht_decode,
     soft_fht_decode_batch,
 )
 
@@ -60,30 +56,23 @@ def test_tables_every_column_has_support():
         assert generator.sum(axis=0).min() >= 1
 
 
-def test_tables_cap():
-    with pytest.raises(rm_core.SizeLimitError):
-        precompute_tables(0)
-    with pytest.raises(rm_core.SizeLimitError):
-        precompute_tables(17)
-
-
 def test_info_llrs_strongly_positive_channel():
     # all-+10 LLRs at m=2: spectrum [40,0,0,0]; value frozen from the
     # exhaustive max-log oracle, which must agree exactly
-    tables = precompute_tables(2)
+    code = rm_core.build_rm_code(2, 1)
     spectrum = fht([10.0, 10.0, 10.0, 10.0])
-    got = info_bit_llrs(spectrum, tables)
+    got = info_bit_llrs_batch(spectrum, code)
     assert got.tolist() == [40.0, 40.0, 40.0]
-    oracle, _ = brute_force_soft_map([10.0] * 4, rm_core.build_rm_code(2, 1))
+    oracle, _ = brute_force_soft_map_batch([10.0] * 4, code)
     assert np.array_equal(got, oracle)
 
 
 def test_info_llrs_negation_flips_only_first_bit():
-    tables = precompute_tables(3)
+    code = rm_core.build_rm_code(3, 1)
     rng = np.random.default_rng(21)
     llr = rng.normal(size=8) * 3.0
-    plus = info_bit_llrs(fht(llr), tables)
-    minus = info_bit_llrs(fht(-llr), tables)
+    plus = info_bit_llrs_batch(fht(llr), code)
+    minus = info_bit_llrs_batch(fht(-llr), code)
     assert minus[0] == pytest.approx(-plus[0], abs=1e-12)
     assert np.allclose(minus[1:], plus[1:], rtol=0, atol=1e-12)
 
@@ -91,30 +80,29 @@ def test_info_llrs_negation_flips_only_first_bit():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_info_llrs_match_exhaustive_oracle(m):
     code = rm_core.build_rm_code(m, 1)
-    tables = precompute_tables(m)
     rng = np.random.default_rng(300 + m)
     block = rng.normal(size=(200, code.n)) * 2.5
-    fast = info_bit_llrs_batch(fht(block), tables)
+    fast = info_bit_llrs_batch(fht(block), code)
     slow = brute_force_soft_map_batch(block, code)[0]
     assert np.max(np.abs(fast - slow)) < 1e-9
 
 
 def test_min_sum_expansion_m2():
-    tables = precompute_tables(2)
+    code = rm_core.build_rm_code(2, 1)
     # supports per column: {0}, {0,2}, {0,1}, {0,1,2}
-    out = encoded_bit_llrs([2.0, -1.0, 3.0], tables)
+    out = encoded_bit_llrs_batch([2.0, -1.0, 3.0], code)
     assert out.tolist() == [2.0, 2.0, -1.0, -1.0]
 
 
 def test_min_sum_all_positive_inputs_stay_positive():
-    tables = precompute_tables(3)
-    out = encoded_bit_llrs([5.0, 1.0, 2.0, 0.5], tables)
+    code = rm_core.build_rm_code(3, 1)
+    out = encoded_bit_llrs_batch([5.0, 1.0, 2.0, 0.5], code)
     assert (out > 0).all()
 
 
 def test_min_sum_zero_magnitude_decides_as_bit_zero():
-    tables = precompute_tables(2)
-    out = encoded_bit_llrs([0.0, -1.0, 3.0], tables)
+    code = rm_core.build_rm_code(2, 1)
+    out = encoded_bit_llrs_batch([0.0, -1.0, 3.0], code)
     # a zero input magnitude zeroes every column it feeds ...
     assert out[0] == 0.0 and out[2] == 0.0
     # ... and the downstream hard decision treats zero as positive (bit 0)
@@ -122,52 +110,52 @@ def test_min_sum_zero_magnitude_decides_as_bit_zero():
 
 
 def test_soft_decode_noiseless_all_zero():
-    tables = precompute_tables(4)
-    out = soft_fht_decode(np.full(16, 9.0), tables)
+    code = rm_core.build_rm_code(4, 1)
+    out = soft_fht_decode_batch(np.full(16, 9.0), code)
     assert (out > 0).all()
 
 
 def test_soft_decode_positive_homogeneity():
-    tables = precompute_tables(4)
+    code = rm_core.build_rm_code(4, 1)
     rng = np.random.default_rng(31)
     llr = rng.normal(size=16) * 2.0
-    base = soft_fht_decode(llr, tables)
+    base = soft_fht_decode_batch(llr, code)
     for alpha in (0.25, 3.0, 17.5):
-        scaled = soft_fht_decode(alpha * llr, tables)
+        scaled = soft_fht_decode_batch(alpha * llr, code)
         assert np.allclose(scaled, alpha * base, rtol=1e-12)
 
 
 def test_soft_decode_signs_match_hard_ml():
-    tables = precompute_tables(5)
+    code = rm_core.build_rm_code(5, 1)
     rng = np.random.default_rng(41)
     block = rng.normal(size=(2000, 32)) * 1.5
-    soft = soft_fht_decode_batch(block, tables)
-    hard, _ = fht_ml_decode_batch(block, tables)
+    soft = soft_fht_decode_batch(block, code)
+    hard, _ = fht_ml_decode_batch(block, code)
     assert np.array_equal((soft < 0).astype(np.uint8), hard)
 
 
 def test_soft_decode_batch_matches_single():
-    tables = precompute_tables(3)
+    code = rm_core.build_rm_code(3, 1)
     rng = np.random.default_rng(51)
     block = rng.normal(size=(20, 8))
-    together = soft_fht_decode_batch(block, tables)
+    together = soft_fht_decode_batch(block, code)
     for i in range(20):
-        assert np.array_equal(together[i], soft_fht_decode(block[i], tables))
+        assert np.array_equal(together[i], soft_fht_decode_batch(block[i], code))
 
 
 def test_soft_decode_operation_bound():
     # counted work stays within a fixed multiple of n log2(n)
     for m in range(4, 11):
         n = 1 << m
-        tables = precompute_tables(m)
+        code = rm_core.build_rm_code(m, 1)
         counter = OpCounter()
-        soft_fht_decode_batch(np.zeros((1, n)), tables, counter)
+        soft_fht_decode_batch(np.zeros((1, n)), code, counter)
         assert counter.total() <= 4 * n * m, m
 
 
 def test_brute_force_zero_input_gives_zero_llrs():
     code = rm_core.build_rm_code(3, 1)
-    info, coded = brute_force_soft_map(np.zeros(8), code)
+    info, coded = brute_force_soft_map_batch(np.zeros(8), code)
     assert not info.any()
     assert not coded.any()
 
@@ -176,7 +164,7 @@ def test_brute_force_handles_second_order_code():
     code = rm_core.build_rm_code(3, 2)  # k = 7: 128 codewords
     rng = np.random.default_rng(61)
     llr = rng.normal(size=8) * 2.0
-    info, coded = brute_force_soft_map(llr, code)
+    info, coded = brute_force_soft_map_batch(llr, code)
     assert info.shape == (7,)
     assert coded.shape == (8,)
     # hard thresholds of the coded LLRs reproduce the exhaustive ML word
@@ -187,7 +175,7 @@ def test_brute_force_handles_second_order_code():
 def test_brute_force_dimension_cap():
     code = rm_core.build_rm_code(5, 4)  # k = 31
     with pytest.raises(rm_core.SizeLimitError):
-        brute_force_soft_map(np.zeros(32), code)
+        brute_force_soft_map_batch(np.zeros(32), code)
 
 
 def test_brute_force_info_sign_matches_ml_word():
@@ -202,15 +190,15 @@ def test_brute_force_info_sign_matches_ml_word():
         if scores[order[0]] <= scores[order[1]]:
             continue
         ml_info = infos[order[0]]
-        info, _ = brute_force_soft_map(llr, code)
+        info, _ = brute_force_soft_map_batch(llr, code)
         assert np.array_equal((info < 0).astype(np.uint8), ml_info)
 
 
 def test_counters_accumulate_per_call():
-    tables = precompute_tables(4)
+    code = rm_core.build_rm_code(4, 1)
     one, two = OpCounter(), OpCounter()
-    soft_fht_decode_batch(np.zeros((1, 16)), tables, one)
-    soft_fht_decode_batch(np.zeros((1, 16)), tables, two)
-    soft_fht_decode_batch(np.zeros((1, 16)), tables, two)
+    soft_fht_decode_batch(np.zeros((1, 16)), code, one)
+    soft_fht_decode_batch(np.zeros((1, 16)), code, two)
+    soft_fht_decode_batch(np.zeros((1, 16)), code, two)
     assert two.total() == 2 * one.total()
     assert two.depth == 2 * one.depth
