@@ -2,7 +2,6 @@
 
 import argparse
 import math
-import os
 import sys
 
 from . import sim
@@ -32,15 +31,17 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_workers(text: str) -> int:
+    """A worker count, or the usable CPUs for 'auto'; sim checks the range."""
     if text.strip().lower() == "auto":
-        return os.cpu_count() or 1
-    workers = int(text)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
+        return sim.usable_cpus()
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a count or 'auto', got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = sim.SimConfig
     parser = argparse.ArgumentParser(
         prog="rmproduct",
         description="Monte-Carlo block-error-rate sweeps for products of "
@@ -49,25 +50,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--code", required=True,
                         help="product descriptor, e.g. rm(6,1)xrm(2,1); append :bfmap "
                              "to a component for the exhaustive soft-MAP decoder")
-    parser.add_argument("--decoder", choices=("soft", "hard"), default="soft",
-                        help="component decoding mode (default: soft)")
-    parser.add_argument("--iterations", type=int, default=3, metavar="I",
-                        help="decoding iterations per frame (default: 3)")
+    parser.add_argument("--decoder", choices=("soft", "hard"), default=defaults.decoder,
+                        help="component decoding mode (default: %(default)s)")
+    parser.add_argument("--iterations", type=int, default=defaults.iterations, metavar="I",
+                        help="decoding iterations per frame (default: %(default)s)")
     parser.add_argument("--ebno", required=True, metavar="GRID",
                         help="Eb/N0 grid in dB: start:stop:step (inclusive) or a comma list")
-    parser.add_argument("--min-errors", type=int, default=100, metavar="N",
-                        help="block errors to collect per point (default: 100)")
-    parser.add_argument("--max-frames", type=int, default=10_000_000, metavar="N",
-                        help="frame cap per point (default: 10^7)")
-    parser.add_argument("--seed", type=int, default=1, metavar="SEED",
+    parser.add_argument("--min-errors", type=int, default=defaults.min_block_errors,
+                        metavar="N", help="block errors to collect per point (default: %(default)s)")
+    parser.add_argument("--max-frames", type=int, default=defaults.max_frames, metavar="N",
+                        help="frame cap per point (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=defaults.seed, metavar="SEED",
                         help="master seed; each chunk of 256 frames draws from streams "
-                             "keyed by (seed, chunk index) (default: 1)")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
-                        help="worker processes; results do not depend on this (default: 1)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default: csv)")
-    parser.add_argument("--out", default="stdout", metavar="PATH",
-                        help="output path, or 'stdout' (default)")
+                             "keyed by (seed, chunk index) (default: %(default)s)")
+    parser.add_argument("--workers", type=_parse_workers, default=defaults.workers,
+                        metavar="N|auto",
+                        help="worker processes, or 'auto' for the CPUs this process may "
+                             "run on; results do not depend on this (default: %(default)s)")
+    parser.add_argument("--format", choices=("csv", "json"), default=defaults.out_format,
+                        help="output format (default: %(default)s)")
+    parser.add_argument("--out", default=defaults.out_path, metavar="PATH",
+                        help="output path, or 'stdout' (default: %(default)s)")
     return parser
 
 
@@ -82,7 +85,7 @@ def main(argv=None) -> int:
             min_block_errors=args.min_errors,
             max_frames=args.max_frames,
             seed=args.seed,
-            workers=_parse_workers(args.workers),
+            workers=args.workers,
             out_format=args.format,
             out_path=args.out,
         )

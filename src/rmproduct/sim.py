@@ -14,7 +14,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -30,11 +30,6 @@ RESULT_FORMAT = 2
 # bit stream and one noise stream per chunk, keyed by (seed, chunk index).
 RNG_SCHEME = 2
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
-
-CSV_COLUMNS = (
-    "ebno_db", "snr_db", "frames", "bit_errors", "block_errors",
-    "ber", "bler", "bler_ci_lo", "bler_ci_hi", "ops_per_decode",
-)
 
 
 @dataclass(frozen=True)
@@ -53,25 +48,27 @@ class SimConfig:
     out_path: str = "stdout"
 
     def __post_init__(self):
-        if self.decoder not in (product.SOFT, product.HARD):
-            raise ValueError(f"decoder must be 'soft' or 'hard', got {self.decoder!r}")
-        for ebno_db in self.ebno_dbs:
-            _check_ebno(ebno_db)
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.min_block_errors < 1:
-            raise ValueError(f"min_block_errors must be >= 1, got {self.min_block_errors}")
-        if self.max_frames < 1:
-            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _check_run(self.decoder, self.iterations, self.min_block_errors,
+                   self.max_frames, self.seed, self.workers, self.ebno_dbs)
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.out_format!r}")
 
 
-def _check_ebno(ebno_db: float) -> None:
-    if not math.isfinite(ebno_db):
-        raise ValueError(f"Eb/N0 must be a finite number of dB, got {ebno_db}")
+def _check_run(mode: str, iterations: int, min_block_errors: int, max_frames: int,
+               seed: int, workers: int, ebno_dbs: tuple[float, ...]) -> None:
+    """Reject the first bad setting of a run; SimConfig and run_point both call this."""
+    if mode not in (product.SOFT, product.HARD):
+        raise ValueError(f"decoder mode must be 'soft' or 'hard', got {mode!r}")
+    for name, value, least in (("iterations", iterations, 1),
+                               ("min_block_errors", min_block_errors, 1),
+                               ("max_frames", max_frames, 1),
+                               ("seed", seed, 0),
+                               ("workers", workers, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    for ebno_db in ebno_dbs:
+        if not math.isfinite(ebno_db):
+            raise ValueError(f"Eb/N0 must be a finite number of dB, got {ebno_db}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,9 @@ class SimPoint:
     bler_ci_lo: float
     bler_ci_hi: float
     ops_per_decode: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SimPoint))
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -138,13 +138,16 @@ def _run_chunk(descriptor: str, mode: str, iterations: int, sigma2: float,
     return mismatch.any(axis=1), mismatch.sum(axis=1, dtype=np.int64)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # macOS and Windows
+
+
 def _pool_size(workers: int) -> int:
     """Worker processes for `workers`: at most the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # macOS and Windows
-        cpus = os.cpu_count() or 1
-    return min(workers, cpus)
+    return min(workers, usable_cpus())
 
 
 def _open_pool(workers: int):
@@ -163,6 +166,27 @@ def _ops_per_decode(descriptor: str, mode: str, iterations: int) -> float:
     return float(counter.total())
 
 
+def _tallies(pool, workers: int, chunks):
+    """Yield the tallies of `chunks` (_run_chunk argument tuples) in order: run
+    here when `pool` is None, else with 2 * _pool_size(workers) + 2 chunks in
+    flight, those still pending cancelled when the generator is closed."""
+    if pool is None:
+        yield from (_run_chunk(*args) for args in chunks)
+        return
+    window = 2 * _pool_size(workers) + 2
+    pending = deque()
+    try:
+        for args in chunks:
+            pending.append(pool.submit(_run_chunk, *args))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run_point(code, *, mode: str, iterations: int, ebno_db: float,
               min_block_errors: int, max_frames: int, seed: int,
               workers: int = 1, pool: ProcessPoolExecutor | None = None) -> SimPoint:
@@ -174,59 +198,31 @@ def run_point(code, *, mode: str, iterations: int, ebno_db: float,
     is given (run_sweep shares one pool across its points), else in a pool
     of their own when `workers` > 1, else in this process.
     """
-    _check_ebno(ebno_db)
+    _check_run(mode, iterations, min_block_errors, max_frames, seed, workers, (ebno_db,))
     descriptor = code.descriptor if isinstance(code, product.ProductCode) else code
     built = _cached_code(descriptor)
     sigma2 = channel.ebno_db_to_sigma2(ebno_db, built.rate)
+    chunks = ((descriptor, mode, iterations, sigma2, seed, start,
+               min(CHUNK_FRAMES, max_frames - start))
+              for start in range(0, max_frames, CHUNK_FRAMES))  # lazy: max_frames may be 10**12
 
-    frames_run = 0
-    block_errors = 0
-    bit_errors = 0
-
-    def fold(flags: np.ndarray, bit_counts: np.ndarray) -> bool:
-        """Fold one chunk in frame order; True when the error target is met."""
-        nonlocal frames_run, block_errors, bit_errors
-        remaining = min_block_errors - block_errors
-        cumulative = np.cumsum(flags)
-        if cumulative[-1] >= remaining:
-            cut = int(np.searchsorted(cumulative, remaining)) + 1  # stop frame inclusive
-            frames_run += cut
-            block_errors += int(cumulative[cut - 1])
-            bit_errors += int(bit_counts[:cut].sum())
-            return True
-        frames_run += flags.shape[0]
-        block_errors += int(cumulative[-1])
-        bit_errors += int(bit_counts.sum())
-        return False
-
-    def chunk(start: int) -> tuple:
-        return (descriptor, mode, iterations, sigma2, seed, start,
-                min(CHUNK_FRAMES, max_frames - start))
-
-    starts = range(0, max_frames, CHUNK_FRAMES)  # lazy: max_frames may be 10**12
+    frames_run = block_errors = bit_errors = 0
     with contextlib.ExitStack() as stack:
         if pool is None:
             pool = stack.enter_context(_open_pool(workers))
-        if pool is None:
-            for start in starts:
-                if fold(*_run_chunk(*chunk(start))):
-                    break
-        else:
-            window = 2 * _pool_size(workers) + 2
-            pending = deque()
-            try:
-                for start in starts:
-                    pending.append(pool.submit(_run_chunk, *chunk(start)))
-                    if len(pending) == window and fold(*pending.popleft().result()):
-                        break
-                else:
-                    while pending and not fold(*pending.popleft().result()):
-                        pass
-            finally:
-                for future in pending:
-                    future.cancel()
+        # Entered after the pool, so pending chunks are cancelled before it shuts down.
+        tallies = stack.enter_context(contextlib.closing(_tallies(pool, workers, chunks)))
+        for flags, bit_counts in tallies:
+            # Up to and including the frame that meets the target, if it is here.
+            cumulative = np.cumsum(flags)
+            cut = int(np.searchsorted(cumulative, min_block_errors - block_errors)) + 1
+            taken = min(cut, len(flags))
+            frames_run += taken
+            block_errors += int(cumulative[taken - 1])
+            bit_errors += int(bit_counts[:cut].sum())
+            if block_errors == min_block_errors:
+                break
 
-    bler = block_errors / frames_run
     ci_lo, ci_hi = wilson_interval(block_errors, frames_run)
     return SimPoint(
         ebno_db=float(ebno_db),
@@ -235,7 +231,7 @@ def run_point(code, *, mode: str, iterations: int, ebno_db: float,
         bit_errors=bit_errors,
         block_errors=block_errors,
         ber=bit_errors / (frames_run * built.k_t),
-        bler=bler,
+        bler=block_errors / frames_run,
         bler_ci_lo=ci_lo,
         bler_ci_hi=ci_hi,
         ops_per_decode=_ops_per_decode(descriptor, mode, iterations),

@@ -9,6 +9,8 @@ doubles as the exact max-log oracle for the fast path and as the component
 decoder for small codes of order above one.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import rm_core
@@ -70,21 +72,17 @@ def soft_fht_decode_batch(llrs, code, counter=None) -> np.ndarray:
     return encoded_bit_llrs_batch(info_bit_llrs_batch(spectra, code, counter), code, counter)
 
 
-_CODEBOOKS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _codebook(code: rm_core.RmCode):
-    """Cached (information words, codewords, +-1 codewords) enumeration."""
+    """Cached (codewords, +-1 codewords, labels) enumeration.  Row i of the
+    (2^k, k+n) labels is information word i followed by its codeword."""
     if code.k > MAX_BF_DIM:
         raise rm_core.SizeLimitError(
             f"brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}"
         )
-    key = (code.m, code.r)
-    if key not in _CODEBOOKS:
-        infos = rm_core.binary_words(code.k)
-        codewords = rm_core.encode_batch(code, infos)
-        _CODEBOOKS[key] = (infos, codewords, bpsk_modulate(codewords))
-    return _CODEBOOKS[key]
+    infos = rm_core.binary_words(code.k)
+    codewords = rm_core.encode_batch(code, infos)
+    return codewords, bpsk_modulate(codewords), np.hstack([infos, codewords])
 
 
 def _correlations(llrs, signs):
@@ -100,29 +98,24 @@ def brute_force_soft_map_batch(llrs, code, counter=None):
     Returns (information-bit LLRs (..., k), code-position LLRs (..., n)), both
     by exhaustive correlation against all 2^k codewords.
     """
-    infos, codewords, signs = _codebook(code)
+    _, signs, labels = _codebook(code)
     lead, scores = _correlations(llrs, signs)
     rows, count = scores.shape
-    n = code.n
-    info_llrs = np.empty((rows, code.k))
-    for b in range(code.k):
-        zero = infos[:, b] == 0
-        info_llrs[:, b] = scores[:, zero].max(axis=1) - scores[:, ~zero].max(axis=1)
-    coded_llrs = np.empty((rows, n))
-    for j in range(n):
-        zero = codewords[:, j] == 0
-        coded_llrs[:, j] = scores[:, zero].max(axis=1) - scores[:, ~zero].max(axis=1)
+    k, n = code.k, code.n
+    out = np.empty((rows, k + n))
+    for j, zero in enumerate(labels.T == 0):
+        out[:, j] = scores[:, zero].max(axis=1) - scores[:, ~zero].max(axis=1)
     if counter is not None:
-        counter.add_sub += rows * (count * (n - 1) + code.k + n)
-        counter.compare += rows * (code.k + n) * (count - 2)
-        counter.depth += (n.bit_length() - 1) + code.k + 1
-    return info_llrs.reshape(lead + (code.k,)), coded_llrs.reshape(lead + (n,))
+        counter.add_sub += rows * (count * (n - 1) + k + n)
+        counter.compare += rows * (k + n) * (count - 2)
+        counter.depth += (n.bit_length() - 1) + k + 1
+    return out[:, :k].reshape(lead + (k,)), out[:, k:].reshape(lead + (n,))
 
 
 def brute_force_ml_decode_batch(llrs, code, counter=None) -> np.ndarray:
     """Exhaustive hard ML codewords (..., n) along the last axis of (..., n)
     LLRs, over any small code (ties to the lowest codeword index)."""
-    _, codewords, signs = _codebook(code)
+    codewords, signs, _ = _codebook(code)
     lead, scores = _correlations(llrs, signs)
     best = np.argmax(scores, axis=1)
     if counter is not None:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
+import os
 
 import pytest
 
-from rmproduct import cli
+from rmproduct import cli, sim
 
 FAST_ARGS = [
     "--code", "rm(2,1)xrm(1,1)", "--decoder", "soft", "--iterations", "1",
@@ -95,13 +97,24 @@ def test_unwritable_output_path_reports_error(tmp_path, capsys):
 def test_workers_auto_accepted(capsys):
     assert cli.main(FAST_ARGS + ["--workers", "auto"]) == 0
     capsys.readouterr()
+    args = cli.build_parser().parse_args(FAST_ARGS + ["--workers", "auto"])
+    assert args.workers == len(os.sched_getaffinity(0))  # the CPUs that cap the pool
 
 
-def test_workers_validation():
-    assert cli._parse_workers("3") == 3
-    assert cli._parse_workers("auto") >= 1
-    with pytest.raises(ValueError):
-        cli._parse_workers("0")
+def test_workers_validation(capsys):
+    assert cli.main(FAST_ARGS + ["--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "workers" in err
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    defaults = {field.name: field.default for field in dataclasses.fields(sim.SimConfig)}
+    for flag, setting in (("decoder", "decoder"), ("iterations", "iterations"),
+                          ("min_errors", "min_block_errors"), ("max_frames", "max_frames"),
+                          ("seed", "seed"), ("workers", "workers"), ("format", "out_format"),
+                          ("out", "out_path")):
+        assert parser.get_default(flag) == defaults[setting], flag
 
 
 def test_large_bfmap_code_constructs_and_runs(capsys):

@@ -1,7 +1,9 @@
-"""README's "Library" example runs as written against the current names."""
+"""README's "Library" example and CSV columns match the code."""
 
 import re
 from pathlib import Path
+
+from rmproduct import sim
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +16,9 @@ def test_library_example_runs():
     namespace = {}
     exec(compile(block.group(1), f"{README}:Library", "exec"), namespace)
     assert 0.0 <= namespace["point"].bler <= 1.0
+
+
+def test_csv_columns_line_matches_the_code():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    columns = lines[lines.index("CSV columns:") + 1]
+    assert columns == f"`{','.join(sim.CSV_COLUMNS)}`"

@@ -161,6 +161,8 @@ def test_config_validation():
         sim.SimConfig(code="rm(2,1)", max_frames=0)
     with pytest.raises(ValueError):
         sim.SimConfig(code="rm(2,1)", workers=0)
+    with pytest.raises(ValueError, match="seed"):
+        sim.SimConfig(code="rm(2,1)", seed=-1)
     with pytest.raises(ValueError):
         sim.SimConfig(code="rm(2,1)", out_format="xml")
 
@@ -244,34 +246,73 @@ def test_huge_frame_cap_stops_at_the_error_target(workers):
     assert point.frames < sim.CHUNK_FRAMES
 
 
-def test_pool_is_clamped_to_usable_cpus_and_shared_by_a_sweep(monkeypatch):
-    pool_sizes = []
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each call at submit, starts no process.
 
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: runs each call at submit, starts no process."""
+    Records the size of every pool built and the start frame of every chunk
+    submitted.
+    """
 
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
+    sizes: list = []
+    submitted: list = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __exit__(self, *exc_info):
-            return False
+    def __enter__(self):
+        return self
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+    def __exit__(self, *exc_info):
+        return False
 
+    def submit(self, fn, *args):
+        self.submitted.append(args[5])
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(InlinePool, "submitted", [])
     monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_pool_is_clamped_to_usable_cpus_and_shared_by_a_sweep(inline_pool):
     cpus = len(os.sched_getaffinity(0))
     point = quick_point(workers=10**6)
     assert point == quick_point(workers=1)
     config = sim.SimConfig(code="rm(3,1)xrm(2,1)", iterations=2, ebno_dbs=(0.0, 1.0, 2.0),
                            min_block_errors=25, max_frames=3000, seed=77, workers=10**6)
     assert sim.run_sweep(config)[1] == point
-    assert pool_sizes == [cpus, cpus]  # one for the point, one for the whole sweep
+    assert inline_pool.sizes == [cpus, cpus]  # one for the point, one for the whole sweep
+
+
+@pytest.mark.parametrize("setting, value, named", [
+    ("max_frames", 0, "max_frames"),
+    ("min_block_errors", 0, "min_block_errors"),
+    ("min_block_errors", -5, "min_block_errors"),
+    ("seed", -1, "seed"),
+    ("workers", 0, "workers"),
+    ("iterations", 0, "iterations"),
+    ("mode", "bogus", "decoder mode"),
+])
+def test_run_point_rejects_bad_settings_before_any_chunk(setting, value, named,
+                                                         inline_pool, monkeypatch):
+    chunks_run = []
+    monkeypatch.setattr(sim, "_run_chunk", lambda *args: chunks_run.append(args))
+    with pytest.raises(ValueError, match=named):
+        quick_point(**{"workers": 2, setting: value})
+    assert inline_pool.sizes == [] and chunks_run == []
+
+
+def test_pool_keeps_a_fixed_window_of_chunks_in_flight(inline_pool):
+    point = quick_point(ebno_db=-2.0, min_block_errors=3, max_frames=10**12, workers=2)
+    assert point.frames < sim.CHUNK_FRAMES  # stops inside the first chunk
+    window = 2 * sim._pool_size(2) + 2
+    assert inline_pool.submitted == [i * sim.CHUNK_FRAMES for i in range(window)]
 
 
 def test_failed_write_leaves_existing_output_untouched(tmp_path, monkeypatch):
