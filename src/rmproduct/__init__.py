@@ -5,7 +5,6 @@ from .fht import fht, fht_ml_decode_batch
 from .ops import OpCounter
 from .product import (
     ProductCode,
-    build_product_code,
     product_code_from_descriptor,
     product_decode_batch,
     product_encode_batch,
@@ -13,11 +12,8 @@ from .product import (
 from .rm_core import (
     RmCode,
     SizeLimitError,
-    build_polarization_matrix,
     build_rm_code,
     encode_batch,
-    enumerate_codewords,
-    min_distance_bruteforce,
     parse_rm_descriptor,
     rm_dimension,
 )
@@ -39,18 +35,14 @@ __all__ = [
     "SimPoint",
     "SizeLimitError",
     "bpsk_modulate",
-    "build_polarization_matrix",
-    "build_product_code",
     "build_rm_code",
     "brute_force_soft_map_batch",
     "ebno_db_to_sigma2",
     "encode_batch",
     "encoded_bit_llrs_batch",
-    "enumerate_codewords",
     "fht",
     "fht_ml_decode_batch",
     "info_bit_llrs_batch",
-    "min_distance_bruteforce",
     "parse_rm_descriptor",
     "product_code_from_descriptor",
     "product_decode_batch",

@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import re
 import sys
 
 from . import sim
@@ -71,6 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: %(default)s)")
     parser.add_argument("--out", default=defaults.out_path, metavar="PATH",
                         help="output path, or 'stdout' (default: %(default)s)")
+    # argparse takes only plain negative numbers for values, so '--ebno -2:0:1'
+    # would read the grid as an option; no flag here starts with a digit
+    parser._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -1,4 +1,4 @@
-"""GF(2) row-space helpers on integer-packed rows."""
+"""GF(2) row-space check on integer-packed rows."""
 
 import numpy as np
 
@@ -29,20 +29,9 @@ def _build_basis(values) -> dict[int, int]:
     return basis
 
 
-def rank(matrix) -> int:
-    """Rank over GF(2) via elimination on packed rows."""
-    return len(_build_basis(pack_rows(matrix)))
-
-
 def row_space_equal(a, b) -> bool:
     """True when the two matrices span the same GF(2) row space."""
     basis = _build_basis(pack_rows(a))
     if len(_build_basis(pack_rows(b))) != len(basis):
         return False
     return all(_reduce(v, basis) == 0 for v in pack_rows(b))
-
-
-def in_row_space(vectors, basis_matrix) -> bool:
-    """True when every row of `vectors` lies in the row space of `basis_matrix`."""
-    basis = _build_basis(pack_rows(basis_matrix))
-    return all(_reduce(v, basis) == 0 for v in pack_rows(vectors))

@@ -55,10 +55,6 @@ class ProductCode:
         self.rate = self.k_t / self.n_t
         self.m_t = sum(c.m for c in codes)
         self.r_t = sum(c.r for c in codes)
-        assert self.d_t == 1 << (self.m_t - self.r_t)
-        assert self.k_t <= rm_dimension_of_enclosing(self), (
-            "product dimension exceeds the enclosing RM code dimension"
-        )
         # component 1 encodes/decodes the last tensor axis
         self.tensor_shape = tuple(c.n for c in reversed(codes))
         self.info_shape = tuple(c.k for c in reversed(codes))
@@ -71,70 +67,43 @@ class ProductCode:
             parts.append(comp.code.descriptor + suffix)
         return "x".join(parts)
 
-    def enumerate_codewords(self) -> np.ndarray:
-        """All 2^k_t codewords; row j encodes the k_t-bit binary word of j."""
-        if self.k_t > rm_core.MAX_ENUM_DIM:
-            raise rm_core.SizeLimitError(
-                f"k_t={self.k_t} exceeds enumeration cap {rm_core.MAX_ENUM_DIM}"
-            )
-        return product_encode_batch(self, rm_core.binary_words(self.k_t))
-
     def __str__(self) -> str:
         return f"{self.descriptor} [n={self.n_t}, k={self.k_t}, d={self.d_t}]"
 
 
-def rm_dimension_of_enclosing(code: ProductCode) -> int:
-    """Dimension of the smallest RM code containing the product."""
-    return rm_core.rm_dimension(code.m_t, code.r_t)
+def product_code_from_descriptor(text: str) -> ProductCode:
+    """Build a product code from 'rm(m1,r1)xrm(m2,r2)...'.
 
-
-def build_product_code(specs) -> ProductCode:
-    """Build from (component descriptor, decoder kind) pairs.
-
-    Decoder kinds: 'soft-fht' (requires order 1) or 'bfmap' (exhaustive
-    soft-MAP, requires component dimension <= 16).
+    A component decodes with the soft-FHT decoder, which needs order 1, or
+    with the exhaustive soft-MAP decoder when ':bfmap' follows it, which
+    needs component dimension <= 16.  Every part is parsed before any code
+    is built.
     """
-    components = []
-    for descriptor, kind in specs:
-        m, r = rm_core.parse_rm_descriptor(descriptor)
-        code = rm_core.build_rm_code(m, r)
-        if kind == SOFT_FHT:
-            if r != 1:
-                raise ValueError(
-                    f"{code.descriptor}: soft-FHT component decoding needs order 1; "
-                    "append :bfmap for the exhaustive soft-MAP decoder"
-                )
-        elif kind == BF_MAP:
-            if code.k > soft_fht.MAX_BF_DIM:
-                raise rm_core.SizeLimitError(
-                    f"{code.descriptor}: brute-force component decoding caps at "
-                    f"k <= {soft_fht.MAX_BF_DIM}, got k={code.k}"
-                )
-        else:
-            raise ValueError(f"unknown decoder kind {kind!r}")
-        components.append(Component(code=code, decoder=kind))
-    return ProductCode(components)
-
-
-def parse_product_descriptor(text: str) -> list[tuple[str, str]]:
-    """Parse 'rm(m1,r1)xrm(m2,r2)...' with optional per-component ':bfmap'."""
     parts = re.split(r"\s*[xX]\s*", text.strip())
-    if not parts or any(not part for part in parts):
+    if not all(parts):
         raise ValueError(f"invalid product descriptor {text!r}")
     specs = []
     for part in parts:
         base, sep, suffix = part.partition(":")
         suffix = suffix.strip().lower()
-        if sep and suffix != "bfmap":
+        if sep and suffix != BF_MAP:
             raise ValueError(f"unknown decoder suffix {suffix!r} in {part!r}")
-        m, r = rm_core.parse_rm_descriptor(base)  # validates the component syntax
-        specs.append((f"rm({m},{r})", BF_MAP if suffix else SOFT_FHT))
-    return specs
-
-
-def product_code_from_descriptor(text: str) -> ProductCode:
-    """Build a product code from its descriptor string."""
-    return build_product_code(parse_product_descriptor(text))
+        specs.append(rm_core.parse_rm_descriptor(base) + (BF_MAP if sep else SOFT_FHT,))
+    components = []
+    for m, r, kind in specs:
+        code = rm_core.build_rm_code(m, r)
+        if kind == SOFT_FHT and r != 1:
+            raise ValueError(
+                f"{code.descriptor}: soft-FHT component decoding needs order 1; "
+                "append :bfmap for the exhaustive soft-MAP decoder"
+            )
+        if kind == BF_MAP and code.k > soft_fht.MAX_BF_DIM:
+            raise rm_core.SizeLimitError(
+                f"{code.descriptor}: brute-force component decoding caps at "
+                f"k <= {soft_fht.MAX_BF_DIM}, got k={code.k}"
+            )
+        components.append(Component(code=code, decoder=kind))
+    return ProductCode(components)
 
 
 def product_encode_batch(code: ProductCode, infos) -> np.ndarray:

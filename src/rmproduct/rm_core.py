@@ -22,7 +22,6 @@ import numpy as np
 from . import gf2
 
 MAX_M = 16
-MAX_ENUM_DIM = 20
 
 
 class SizeLimitError(ValueError):
@@ -42,19 +41,6 @@ def rm_dimension(m: int, r: int) -> int:
     return sum(math.comb(m, i) for i in range(r + 1))
 
 
-def build_polarization_matrix(m: int) -> np.ndarray:
-    """m-th Kronecker power of [[1,0],[1,1]]: a 2^m x 2^m lower-triangular uint8 matrix."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if m > MAX_M:
-        raise SizeLimitError(f"m={m} exceeds cap {MAX_M} (needs 2^m x 2^m storage)")
-    power = np.array([[1]], dtype=np.uint8)
-    base = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-    for _ in range(m):
-        power = np.kron(power, base)
-    return power
-
-
 @dataclass(frozen=True)
 class RmCode:
     """An RM(m, r) component code with its canonical generator."""
@@ -64,7 +50,6 @@ class RmCode:
     n: int
     k: int
     generator: np.ndarray = field(compare=False)  # (k, n) uint8, canonical row order
-    weight_profile: tuple = field(compare=False)  # ((row weight, count), ...) descending
 
     @property
     def rate(self) -> float:
@@ -131,9 +116,7 @@ def build_rm_code(m: int, r: int) -> RmCode:
     assert gf2.row_space_equal(generator, _weight_selected_rows(m, r)), (
         f"canonical rm({m},{r}) generator does not span the weight-selected rows"
     )
-    weights, counts = np.unique(generator.sum(axis=1), return_counts=True)
-    profile = tuple(sorted(zip(weights.tolist(), counts.tolist()), reverse=True))
-    return RmCode(m=m, r=r, n=n, k=k, generator=generator, weight_profile=profile)
+    return RmCode(m=m, r=r, n=n, k=k, generator=generator)
 
 
 def encode_batch(code: RmCode, infos) -> np.ndarray:
@@ -150,28 +133,3 @@ def binary_words(k: int) -> np.ndarray:
     j = np.arange(1 << k)
     shifts = np.arange(k - 1, -1, -1)
     return ((j[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-def enumerate_codewords(code: RmCode) -> np.ndarray:
-    """All 2^k codewords; row j encodes the k-bit binary word of j, MSB first."""
-    if code.k > MAX_ENUM_DIM:
-        raise SizeLimitError(f"k={code.k} exceeds enumeration cap {MAX_ENUM_DIM}")
-    return encode_batch(code, binary_words(code.k))
-
-
-def min_distance_bruteforce(code) -> int:
-    """Minimum Hamming weight over all nonzero codewords, by exhaustion.
-
-    Accepts an RmCode or any product code exposing k_t and enumerate_codewords().
-    """
-    if isinstance(code, RmCode):
-        dimension = code.k
-        words = None
-    else:
-        dimension = code.k_t
-        words = code.enumerate_codewords
-    if dimension > MAX_ENUM_DIM:
-        raise SizeLimitError(f"dimension {dimension} exceeds enumeration cap {MAX_ENUM_DIM}")
-    codewords = enumerate_codewords(code) if words is None else words()
-    weights = codewords.sum(axis=1, dtype=np.int64)
-    return int(weights[weights > 0].min())

@@ -12,10 +12,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from oracles import min_nonzero_weight
 from rmproduct import rm_core, sim
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
-from rmproduct.product import product_code_from_descriptor, product_decode_batch
+from rmproduct.product import (
+    product_code_from_descriptor,
+    product_decode_batch,
+    product_encode_batch,
+)
 from rmproduct.soft_fht import (
     brute_force_soft_map_batch,
     info_bit_llrs_batch,
@@ -32,6 +37,8 @@ MENU_CODES = (
     "rm(3,1)xrm(2,1)",
     "rm(4,1)xrm(2,1)",
     "rm(11,1)xrm(3,2):bfmap",
+    "rm(10,1)xrm(2,1)",
+    "rm(3,1)xrm(3,1)xrm(3,1)",
 )
 
 
@@ -50,7 +57,7 @@ def _sylvester(m):
 
 def _exhaustive_scores(block, code):
     """Correlations of each LLR row against every +-1 codeword."""
-    words = rm_core.enumerate_codewords(code)
+    words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
     return block @ (1.0 - 2.0 * words).T, words
 
 
@@ -126,7 +133,8 @@ def test_criterion_4_structural_checks():
 
     # +-1 codeword stacks of RM(m,1) split into the Hadamard matrix and its negation
     for m in range(1, 5):
-        words = rm_core.enumerate_codewords(rm_core.build_rm_code(m, 1))
+        code = rm_core.build_rm_code(m, 1)
+        words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
         pm1 = 1.0 - 2.0 * words.astype(np.float64)
         h = _sylvester(m)
         n = 1 << m
@@ -149,14 +157,15 @@ def test_criterion_4_structural_checks():
             notes.append(f"parameters {descriptor}")
 
     small = product_code_from_descriptor("rm(3,1)xrm(2,1)")
-    if rm_core.min_distance_bruteforce(small) != 8 or small.d_t != 8:
+    small_words = product_encode_batch(small, rm_core.binary_words(small.k_t))
+    if min_nonzero_weight(small_words) != 8 or small.d_t != 8:
         ok = False
         notes.append("min distance")
 
     from rmproduct import gf2
 
     enclosing = rm_core.build_rm_code(5, 2)
-    if not gf2.in_row_space(small.enumerate_codewords(), enclosing.generator):
+    if not gf2.row_space_equal(np.vstack([enclosing.generator, small_words]), enclosing.generator):
         ok = False
         notes.append("subcode membership")
 

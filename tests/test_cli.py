@@ -147,3 +147,11 @@ def test_trailing_comma_reports_empty_field(capsys):
     code = cli.main(["--code", "rm(2,1)xrm(1,1)", "--ebno", "1,2,"])
     assert code == 2
     assert "empty field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, expected", [("-2:0:1", [-2.0, -1.0, 0.0]), ("-2,0", [-2.0, 0.0])])
+def test_grid_below_zero_db_after_a_space(grid, expected, capsys):
+    code = cli.main(["--code", "rm(2,1)xrm(1,1)", "--ebno", grid, "--max-frames", "10"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == expected

@@ -15,7 +15,7 @@ def sylvester(m):
 
 def naive_ml(llr, code):
     """Exhaustive correlation decoder; returns (codeword, info, unique_max)."""
-    words = rm_core.enumerate_codewords(code)
+    words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
     scores = np.asarray(llr) @ (1.0 - 2.0 * words).T
     order = np.argsort(-scores)
     unique = scores[order[0]] > scores[order[1]]
@@ -140,7 +140,8 @@ def test_ml_decode_batch_matches_single():
 def test_codeword_hadamard_alignment():
     # +-1 codeword list of RM(m,1): first half is H, second half is -H
     for m in range(1, 5):
-        words = rm_core.enumerate_codewords(rm_core.build_rm_code(m, 1))
+        code = rm_core.build_rm_code(m, 1)
+        words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
         pm1 = 1.0 - 2.0 * words.astype(np.float64)
         h = sylvester(m)
         n = 1 << m

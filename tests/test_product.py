@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import min_nonzero_weight
 from rmproduct import gf2, rm_core
 from rmproduct.fht import fht_ml_decode_batch
 from rmproduct.product import (
     BF_MAP,
     SOFT_FHT,
-    build_product_code,
-    parse_product_descriptor,
     product_code_from_descriptor,
     product_decode_batch,
     product_encode_batch,
@@ -16,7 +15,12 @@ from rmproduct.soft_fht import soft_fht_decode_batch
 
 
 def codeword_set(code):
-    return {tuple(w) for w in rm_core.enumerate_codewords(code)}
+    return {tuple(w) for w in rm_core.encode_batch(code, rm_core.binary_words(code.k))}
+
+
+def product_codewords(code):
+    """All 2^k_t codewords; row j encodes the k_t-bit binary word of j."""
+    return product_encode_batch(code, rm_core.binary_words(code.k_t))
 
 
 def test_parameters_fig_subject_code():
@@ -49,12 +53,16 @@ def test_parameters_multiply():
         assert code.rate == pytest.approx(np.prod([c.rate for c in components]), rel=1e-12)
 
 
+def components_of(descriptor):
+    return [(c.code.descriptor, c.decoder) for c in product_code_from_descriptor(descriptor).components]
+
+
 def test_descriptor_parsing_variants():
-    assert parse_product_descriptor("RM(6,1) X rm(2,1)") == [("rm(6,1)", SOFT_FHT), ("rm(2,1)", SOFT_FHT)]
-    assert parse_product_descriptor("rm(11,1)xrm(3,2):BFMAP")[1] == ("rm(3,2)", BF_MAP)
+    assert components_of("RM(6,1) X rm(2,1)") == [("rm(6,1)", SOFT_FHT), ("rm(2,1)", SOFT_FHT)]
+    assert components_of("rm(11,1)xrm(3,2):BFMAP")[1] == ("rm(3,2)", BF_MAP)
     for bad in ("", "x", "rm(2,1)x", "rm(2,1):fast", "rm(2,1):", "rm(2:1)"):
         with pytest.raises(ValueError):
-            parse_product_descriptor(bad)
+            product_code_from_descriptor(bad)
 
 
 def test_descriptor_round_trip():
@@ -66,12 +74,12 @@ def test_descriptor_round_trip():
 
 def test_higher_order_component_needs_bfmap():
     with pytest.raises(ValueError, match="bfmap"):
-        build_product_code([("rm(11,1)", SOFT_FHT), ("rm(3,2)", SOFT_FHT)])
+        product_code_from_descriptor("rm(11,1)xrm(3,2)")
 
 
 def test_bfmap_component_dimension_cap():
     with pytest.raises(rm_core.SizeLimitError):
-        build_product_code([("rm(5,3)", BF_MAP)])  # k = 26 > 16
+        product_code_from_descriptor("rm(5,3):bfmap")  # k = 26 > 16
 
 
 def test_encode_zero_maps_to_zero():
@@ -124,7 +132,8 @@ def test_three_dimensional_fibers():
 def test_product_codewords_inside_enclosing_rm_code():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
     enclosing = rm_core.build_rm_code(5, 2)
-    assert gf2.in_row_space(code.enumerate_codewords(), enclosing.generator)
+    words = product_codewords(code)
+    assert gf2.row_space_equal(np.vstack([enclosing.generator, words]), enclosing.generator)
 
 
 def test_product_basis_inside_enclosing_rm_code_more_pairs():
@@ -132,12 +141,12 @@ def test_product_basis_inside_enclosing_rm_code_more_pairs():
         code = product_code_from_descriptor(f"rm({m1},1)xrm({m2},1)")
         basis = product_encode_batch(code, np.eye(code.k_t, dtype=np.uint8))
         enclosing = rm_core.build_rm_code(m1 + m2, 2)
-        assert gf2.in_row_space(basis, enclosing.generator), (m1, m2)
+        assert gf2.row_space_equal(np.vstack([enclosing.generator, basis]), enclosing.generator), (m1, m2)
 
 
 def test_product_min_distance_bruteforce():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
-    assert rm_core.min_distance_bruteforce(code) == 8 == code.d_t
+    assert min_nonzero_weight(product_codewords(code)) == 8 == code.d_t
 
 
 def test_reshape_2d_index_convention():
@@ -149,7 +158,7 @@ def test_reshape_2d_index_convention():
     cols = codeword_set(code.components[1].code)
     n1, n2 = (c.code.n for c in code.components)
     assert code.tensor_shape == (n2, n1) == (4, 8)
-    for sent in code.enumerate_codewords():
+    for sent in product_codewords(code):
         for i2 in range(n2):
             assert tuple(sent[[i2 * n1 + i1 for i1 in range(n1)]]) in rows
         for i1 in range(n1):

@@ -181,8 +181,8 @@ def test_brute_force_dimension_cap():
 def test_brute_force_info_sign_matches_ml_word():
     code = rm_core.build_rm_code(3, 1)
     rng = np.random.default_rng(71)
-    words = rm_core.enumerate_codewords(code)
     infos = rm_core.binary_words(code.k)
+    words = rm_core.encode_batch(code, infos)
     for _ in range(300):
         llr = rng.normal(size=8) * 2.0
         scores = llr @ (1.0 - 2.0 * words).T
