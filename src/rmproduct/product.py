@@ -97,11 +97,8 @@ def product_code_from_descriptor(text: str) -> ProductCode:
                 f"{code.descriptor}: soft-FHT component decoding needs order 1; "
                 "append :bfmap for the exhaustive soft-MAP decoder"
             )
-        if kind == BF_MAP and code.k > soft_fht.MAX_BF_DIM:
-            raise rm_core.SizeLimitError(
-                f"{code.descriptor}: brute-force component decoding caps at "
-                f"k <= {soft_fht.MAX_BF_DIM}, got k={code.k}"
-            )
+        if kind == BF_MAP:
+            soft_fht._codebook(code)  # checks the size cap; a decode would build it anyway
         components.append(Component(code=code, decoder=kind))
     return ProductCode(components)
 

@@ -48,27 +48,23 @@ class SimConfig:
     out_path: str = "stdout"
 
     def __post_init__(self):
-        _check_run(self.decoder, self.iterations, self.min_block_errors,
-                   self.max_frames, self.seed, self.workers, self.ebno_dbs)
+        """Reject the first bad setting, and build the code, before any pool
+        opens or any chunk runs; a bad descriptor fails even on an empty grid."""
+        if self.decoder not in (product.SOFT, product.HARD):
+            raise ValueError(f"decoder mode must be 'soft' or 'hard', got {self.decoder!r}")
+        for name, value, least in (("iterations", self.iterations, 1),
+                                   ("min_block_errors", self.min_block_errors, 1),
+                                   ("max_frames", self.max_frames, 1),
+                                   ("seed", self.seed, 0),
+                                   ("workers", self.workers, 1)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for ebno_db in self.ebno_dbs:
+            if not math.isfinite(ebno_db):
+                raise ValueError(f"Eb/N0 must be a finite number of dB, got {ebno_db}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.out_format!r}")
-
-
-def _check_run(mode: str, iterations: int, min_block_errors: int, max_frames: int,
-               seed: int, workers: int, ebno_dbs: tuple[float, ...]) -> None:
-    """Reject the first bad setting of a run; SimConfig and run_point both call this."""
-    if mode not in (product.SOFT, product.HARD):
-        raise ValueError(f"decoder mode must be 'soft' or 'hard', got {mode!r}")
-    for name, value, least in (("iterations", iterations, 1),
-                               ("min_block_errors", min_block_errors, 1),
-                               ("max_frames", max_frames, 1),
-                               ("seed", seed, 0),
-                               ("workers", workers, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-    for ebno_db in ebno_dbs:
-        if not math.isfinite(ebno_db):
-            raise ValueError(f"Eb/N0 must be a finite number of dB, got {ebno_db}")
+        _cached_code(self.code)
 
 
 @dataclass(frozen=True)
@@ -90,15 +86,15 @@ class SimPoint:
 CSV_COLUMNS = tuple(f.name for f in fields(SimPoint))
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return 0.0, 1.0
     phat = successes / trials
-    zz = z * z
+    zz = Z_95 * Z_95
     denom = 1.0 + zz / trials
     center = (phat + zz / (2.0 * trials)) / denom
-    half = z * ((phat * (1.0 - phat) / trials + zz / (4.0 * trials * trials)) ** 0.5) / denom
+    half = Z_95 * ((phat * (1.0 - phat) / trials + zz / (4.0 * trials * trials)) ** 0.5) / denom
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high
@@ -150,13 +146,6 @@ def _pool_size(workers: int) -> int:
     return min(workers, usable_cpus())
 
 
-def _open_pool(workers: int):
-    """A context manager giving a process pool for `workers` > 1, None for 1."""
-    if workers == 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(max_workers=_pool_size(workers))
-
-
 @lru_cache(maxsize=64)
 def _ops_per_decode(descriptor: str, mode: str, iterations: int) -> float:
     """Counted operations of one decode; input-independent, so measured once."""
@@ -187,74 +176,62 @@ def _tallies(pool, workers: int, chunks):
             future.cancel()
 
 
-def run_point(code, *, mode: str, iterations: int, ebno_db: float,
-              min_block_errors: int, max_frames: int, seed: int,
-              workers: int = 1, pool: ProcessPoolExecutor | None = None) -> SimPoint:
-    """Estimate BLER/BER at one Eb/N0 point.
-
-    `code` is a ProductCode or its descriptor string.  Frames are compared at
-    the codeword level (the decoder returns a hard codeword, not information
-    bits); a block error is any bit mismatch.  Chunks run in `pool` when one
-    is given (run_sweep shares one pool across its points), else in a pool
-    of their own when `workers` > 1, else in this process.
-    """
-    _check_run(mode, iterations, min_block_errors, max_frames, seed, workers, (ebno_db,))
-    descriptor = code.descriptor if isinstance(code, product.ProductCode) else code
-    built = _cached_code(descriptor)
-    sigma2 = channel.ebno_db_to_sigma2(ebno_db, built.rate)
-    chunks = ((descriptor, mode, iterations, sigma2, seed, start,
-               min(CHUNK_FRAMES, max_frames - start))
-              for start in range(0, max_frames, CHUNK_FRAMES))  # lazy: max_frames may be 10**12
-
-    frames_run = block_errors = bit_errors = 0
-    with contextlib.ExitStack() as stack:
-        if pool is None:
-            pool = stack.enter_context(_open_pool(workers))
-        # Entered after the pool, so pending chunks are cancelled before it shuts down.
-        tallies = stack.enter_context(contextlib.closing(_tallies(pool, workers, chunks)))
-        for flags, bit_counts in tallies:
-            # Up to and including the frame that meets the target, if it is here.
-            cumulative = np.cumsum(flags)
-            cut = int(np.searchsorted(cumulative, min_block_errors - block_errors)) + 1
-            taken = min(cut, len(flags))
-            frames_run += taken
-            block_errors += int(cumulative[taken - 1])
-            bit_errors += int(bit_counts[:cut].sum())
-            if block_errors == min_block_errors:
-                break
-
-    ci_lo, ci_hi = wilson_interval(block_errors, frames_run)
-    return SimPoint(
-        ebno_db=float(ebno_db),
-        snr_db=channel.sigma2_to_snr_db(sigma2),
-        frames=frames_run,
-        bit_errors=bit_errors,
-        block_errors=block_errors,
-        ber=bit_errors / (frames_run * built.k_t),
-        bler=block_errors / frames_run,
-        bler_ci_lo=ci_lo,
-        bler_ci_hi=ci_hi,
-        ops_per_decode=_ops_per_decode(descriptor, mode, iterations),
-    )
-
-
 def run_sweep(config: SimConfig) -> list[SimPoint]:
-    """Run every grid point of a sweep configuration in one process pool."""
-    with _open_pool(config.workers) as pool:
-        return [
-            run_point(
-                config.code,
-                mode=config.decoder,
-                iterations=config.iterations,
-                ebno_db=ebno_db,
-                min_block_errors=config.min_block_errors,
-                max_frames=config.max_frames,
-                seed=config.seed,
-                workers=config.workers,
-                pool=pool,
-            )
-            for ebno_db in config.ebno_dbs
-        ]
+    """Estimate BLER/BER at each Eb/N0 point of a sweep, with every point's
+    chunks in one process pool when `workers` > 1, else in this process.
+
+    Frames are compared at the codeword level (the decoder returns a hard
+    codeword, not information bits); a block error is any bit mismatch.
+    """
+    code = _cached_code(config.code)
+    points = []
+    with (ProcessPoolExecutor(max_workers=_pool_size(config.workers)) if config.workers > 1
+          else contextlib.nullcontext()) as pool:
+        for ebno_db in config.ebno_dbs:
+            sigma2 = channel.ebno_db_to_sigma2(ebno_db, code.rate)
+            chunks = ((config.code, config.decoder, config.iterations, sigma2, config.seed,
+                       start, min(CHUNK_FRAMES, config.max_frames - start))
+                      for start in range(0, config.max_frames, CHUNK_FRAMES))  # lazy: may be 10**12
+            frames_run = block_errors = bit_errors = 0
+            # Closed inside the pool's block, so pending chunks are cancelled before it shuts down.
+            with contextlib.closing(_tallies(pool, config.workers, chunks)) as tallies:
+                for flags, bit_counts in tallies:
+                    # Up to and including the frame that meets the target, if it is here.
+                    cumulative = np.cumsum(flags)
+                    cut = int(np.searchsorted(cumulative, config.min_block_errors - block_errors)) + 1
+                    taken = min(cut, len(flags))
+                    frames_run += taken
+                    block_errors += int(cumulative[taken - 1])
+                    bit_errors += int(bit_counts[:cut].sum())
+                    if block_errors == config.min_block_errors:
+                        break
+            ci_lo, ci_hi = wilson_interval(block_errors, frames_run)
+            points.append(SimPoint(
+                ebno_db=float(ebno_db),
+                snr_db=channel.sigma2_to_snr_db(sigma2),
+                frames=frames_run,
+                bit_errors=bit_errors,
+                block_errors=block_errors,
+                ber=bit_errors / (frames_run * code.k_t),
+                bler=block_errors / frames_run,
+                bler_ci_lo=ci_lo,
+                bler_ci_hi=ci_hi,
+                ops_per_decode=_ops_per_decode(config.code, config.decoder, config.iterations),
+            ))
+    return points
+
+
+def run_point(code, *, mode: str, iterations: int, ebno_db: float,
+              min_block_errors: int, max_frames: int, seed: int, workers: int = 1) -> SimPoint:
+    """Estimate BLER/BER at one Eb/N0 point: a one-point run_sweep.
+
+    `code` is a ProductCode or its descriptor string.  Chunks run in a pool of
+    their own when `workers` > 1, else in this process.
+    """
+    descriptor = code.descriptor if isinstance(code, product.ProductCode) else code
+    return run_sweep(SimConfig(code=descriptor, decoder=mode, iterations=iterations,
+                               ebno_dbs=(ebno_db,), min_block_errors=min_block_errors,
+                               max_frames=max_frames, seed=seed, workers=workers))[0]
 
 
 def emit_csv(points, stream) -> None:

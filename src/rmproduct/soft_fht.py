@@ -78,7 +78,7 @@ def _codebook(code: rm_core.RmCode):
     (2^k, k+n) labels is information word i followed by its codeword."""
     if code.k > MAX_BF_DIM:
         raise rm_core.SizeLimitError(
-            f"brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}"
+            f"{code.descriptor}: brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}"
         )
     infos = rm_core.binary_words(code.k)
     codewords = rm_core.encode_batch(code, infos)

@@ -57,6 +57,11 @@ def test_bad_descriptor_reports_error(capsys):
                      "--min-errors", "1", "--max-frames", "10"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # an empty grid runs no point, yet the code is still checked
+    for args in (["--code", "garbage"], ["--code", "rm(20,1)", "--workers", "2"]):
+        assert cli.main(args + ["--ebno", ""]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
 
 
 def test_bad_ebno_reports_error(capsys):

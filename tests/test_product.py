@@ -78,7 +78,7 @@ def test_higher_order_component_needs_bfmap():
 
 
 def test_bfmap_component_dimension_cap():
-    with pytest.raises(rm_core.SizeLimitError):
+    with pytest.raises(rm_core.SizeLimitError, match=r"rm\(5,3\)"):
         product_code_from_descriptor("rm(5,3):bfmap")  # k = 26 > 16
 
 

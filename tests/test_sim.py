@@ -165,6 +165,8 @@ def test_config_validation():
         sim.SimConfig(code="rm(2,1)", seed=-1)
     with pytest.raises(ValueError):
         sim.SimConfig(code="rm(2,1)", out_format="xml")
+    with pytest.raises(ValueError, match="garbage"):
+        sim.SimConfig(code="garbage")
 
 
 def test_run_point_accepts_prebuilt_code():
