@@ -1,6 +1,7 @@
 """Command-line front end for Monte-Carlo BLER sweeps."""
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
@@ -24,7 +25,7 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"Eb/N0 range needs finite numbers, got {text!r}")
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
-        count = int((stop - start) / step + 1e-9) + 1
+        count = math.floor((stop - start) / step + 1e-9) + 1
         if count < 1:
             raise ValueError(f"empty range {text!r}")
         return tuple(start + i * step for i in range(count))
@@ -42,7 +43,6 @@ def _parse_workers(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = sim.SimConfig
     parser = argparse.ArgumentParser(
         prog="rmproduct",
         description="Monte-Carlo block-error-rate sweeps for products of "
@@ -51,27 +51,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--code", required=True,
                         help="product descriptor, e.g. rm(6,1)xrm(2,1); append :bfmap "
                              "to a component for the exhaustive soft-MAP decoder")
-    parser.add_argument("--decoder", choices=("soft", "hard"), default=defaults.decoder,
+    parser.add_argument("--decoder", choices=("soft", "hard"),
                         help="component decoding mode (default: %(default)s)")
-    parser.add_argument("--iterations", type=int, default=defaults.iterations, metavar="I",
+    parser.add_argument("--iterations", type=int, metavar="I",
                         help="decoding iterations per frame (default: %(default)s)")
-    parser.add_argument("--ebno", required=True, metavar="GRID",
+    parser.add_argument("--ebno", dest="ebno_dbs", required=True, metavar="GRID",
                         help="Eb/N0 grid in dB: start:stop:step (inclusive) or a comma list")
-    parser.add_argument("--min-errors", type=int, default=defaults.min_block_errors,
-                        metavar="N", help="block errors to collect per point (default: %(default)s)")
-    parser.add_argument("--max-frames", type=int, default=defaults.max_frames, metavar="N",
+    parser.add_argument("--min-errors", dest="min_block_errors", type=int, metavar="N",
+                        help="block errors to collect per point (default: %(default)s)")
+    parser.add_argument("--max-frames", type=int, metavar="N",
                         help="frame cap per point (default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=defaults.seed, metavar="SEED",
+    parser.add_argument("--seed", type=int, metavar="SEED",
                         help="master seed; each chunk of 256 frames draws from streams "
                              "keyed by (seed, chunk index) (default: %(default)s)")
-    parser.add_argument("--workers", type=_parse_workers, default=defaults.workers,
-                        metavar="N|auto",
+    parser.add_argument("--workers", type=_parse_workers, metavar="N|auto",
                         help="worker processes, or 'auto' for the CPUs this process may "
                              "run on; results do not depend on this (default: %(default)s)")
-    parser.add_argument("--format", choices=("csv", "json"), default=defaults.out_format,
+    parser.add_argument("--format", dest="out_format", choices=("csv", "json"),
                         help="output format (default: %(default)s)")
-    parser.add_argument("--out", default=defaults.out_path, metavar="PATH",
+    parser.add_argument("--out", dest="out_path", metavar="PATH",
                         help="output path, or 'stdout' (default: %(default)s)")
+    # each dest is a SimConfig field, so the config's defaults are the flags' defaults
+    parser.set_defaults(**{field.name: field.default for field in dataclasses.fields(sim.SimConfig)
+                           if field.default is not dataclasses.MISSING})
     # argparse takes only plain negative numbers for values, so '--ebno -2:0:1'
     # would read the grid as an option; no flag here starts with a digit
     parser._negative_number_matcher = re.compile(r"^-\.?\d")
@@ -79,20 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    settings = vars(build_parser().parse_args(argv))
     try:
-        config = sim.SimConfig(
-            code=args.code,
-            decoder=args.decoder,
-            iterations=args.iterations,
-            ebno_dbs=parse_ebno_grid(args.ebno),
-            min_block_errors=args.min_errors,
-            max_frames=args.max_frames,
-            seed=args.seed,
-            workers=args.workers,
-            out_format=args.format,
-            out_path=args.out,
-        )
+        settings["ebno_dbs"] = parse_ebno_grid(settings["ebno_dbs"])
+        config = sim.SimConfig(**settings)
         points = sim.run_sweep(config)
         sim.emit(points, config)
     except (ValueError, OSError) as exc:

@@ -49,7 +49,7 @@ class SimConfig:
 
     def __post_init__(self):
         """Reject the first bad setting, and build the code, before any pool
-        opens or any chunk runs; a bad descriptor fails even on an empty grid."""
+        opens or any chunk runs; a bad descriptor is reported before an empty grid."""
         if self.decoder not in (product.SOFT, product.HARD):
             raise ValueError(f"decoder mode must be 'soft' or 'hard', got {self.decoder!r}")
         for name, value, least in (("iterations", self.iterations, 1),
@@ -65,6 +65,8 @@ class SimConfig:
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.out_format!r}")
         _cached_code(self.code)
+        if not self.ebno_dbs:
+            raise ValueError("the Eb/N0 grid needs at least one point")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from rmproduct import rm_core
+
 
 def kronecker_power(m: int) -> np.ndarray:
     """m-th Kronecker power of [[1,0],[1,1]]: a 2^m x 2^m lower-triangular uint8 matrix.
@@ -20,3 +22,17 @@ def min_nonzero_weight(codewords) -> int:
     """Minimum Hamming weight over the nonzero rows of a codeword stack."""
     weights = np.asarray(codewords).sum(axis=1, dtype=np.int64)
     return int(weights[weights > 0].min())
+
+
+def sylvester(m: int) -> np.ndarray:
+    """2^m x 2^m Sylvester-Hadamard matrix as float64 +-1 entries."""
+    h = np.array([[1.0]])
+    for _ in range(m):
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    return h
+
+
+def exhaustive_scores(block, code):
+    """Correlations of each LLR row against every +-1 codeword, and the codewords."""
+    words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
+    return np.asarray(block) @ (1.0 - 2.0 * words).T, words

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from oracles import min_nonzero_weight
+from oracles import exhaustive_scores, min_nonzero_weight, sylvester
 from rmproduct import rm_core, sim
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
@@ -48,19 +48,6 @@ def _report(number, label, ok, detail=""):
     assert ok, f"criterion {number} failed: {label}{suffix}"
 
 
-def _sylvester(m):
-    h = np.array([[1.0]])
-    for _ in range(m):
-        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
-    return h
-
-
-def _exhaustive_scores(block, code):
-    """Correlations of each LLR row against every +-1 codeword."""
-    words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
-    return block @ (1.0 - 2.0 * words).T, words
-
-
 @lru_cache(maxsize=None)
 def _point(descriptor, mode, iterations, ebno_db, min_errors, max_frames):
     return sim.run_point(
@@ -86,7 +73,7 @@ def test_criterion_1_hard_ml_oracle_equivalence():
         rng = np.random.default_rng(SEED + m)
         block = rng.normal(size=(1000, code.n)) * 2.0
         decoded, _ = fht_ml_decode_batch(block, code)
-        scores, words = _exhaustive_scores(block, code)
+        scores, words = exhaustive_scores(block, code)
         top_two = -np.sort(-scores, axis=1)[:, :2]
         unique = top_two[:, 0] > top_two[:, 1]
         expected = words[np.argmax(scores, axis=1)]
@@ -118,7 +105,7 @@ def test_criterion_3_sign_accordance():
         block = rng.normal(size=(10_000, code.n)) * 1.5
         soft_hard = (soft_fht_decode_batch(block, code) < 0).astype(np.uint8)
         ml_hard, _ = fht_ml_decode_batch(block, code)
-        scores, _ = _exhaustive_scores(block, code)
+        scores, _ = exhaustive_scores(block, code)
         top_two = -np.sort(-scores, axis=1)[:, :2]
         unique = top_two[:, 0] > top_two[:, 1]
         disagreements += int((soft_hard[unique] != ml_hard[unique]).any(axis=1).sum())
@@ -136,7 +123,7 @@ def test_criterion_4_structural_checks():
         code = rm_core.build_rm_code(m, 1)
         words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
         pm1 = 1.0 - 2.0 * words.astype(np.float64)
-        h = _sylvester(m)
+        h = sylvester(m)
         n = 1 << m
         if not (np.array_equal(pm1[:n], h) and np.array_equal(pm1[n:], -h)):
             ok = False

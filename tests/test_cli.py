@@ -23,7 +23,7 @@ def test_parse_ebno_comma_list():
 
 
 def test_parse_ebno_rejects_bad_specs():
-    for bad in ("1:2:0", "1:2:-1", "1:2", "1:2:3:4", "a,b"):
+    for bad in ("1:2:0", "1:2:-1", "1:2", "1:2:3:4", "a,b", "1:0:1", "1:0.5:1"):
         with pytest.raises(ValueError):
             cli.parse_ebno_grid(bad)
 
@@ -57,11 +57,22 @@ def test_bad_descriptor_reports_error(capsys):
                      "--min-errors", "1", "--max-frames", "10"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
-    # an empty grid runs no point, yet the code is still checked
-    for args in (["--code", "garbage"], ["--code", "rm(20,1)", "--workers", "2"]):
+    # with an empty grid too, the code is checked first
+    for args, named in ((["--code", "garbage"], "garbage"),
+                        (["--code", "rm(20,1)", "--workers", "2"], "m=20")):
         assert cli.main(args + ["--ebno", ""]) == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err and captured.out == ""
+        assert "error:" in captured.err and named in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("grid, format_args", [("", []), (" ", ["--format", "json"]),
+                                               ("1:0:1", [])])
+def test_grid_with_no_points_reports_error(grid, format_args, tmp_path, capsys):
+    for out_args in ([], ["--out", str(tmp_path / "F")]):
+        assert cli.main(["--code", "rm(2,1)", "--ebno", grid] + format_args + out_args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+    assert not (tmp_path / "F").exists()
 
 
 def test_bad_ebno_reports_error(capsys):
@@ -114,12 +125,13 @@ def test_workers_validation(capsys):
 
 def test_parser_defaults_are_the_config_defaults():
     parser = cli.build_parser()
-    defaults = {field.name: field.default for field in dataclasses.fields(sim.SimConfig)}
-    for flag, setting in (("decoder", "decoder"), ("iterations", "iterations"),
-                          ("min_errors", "min_block_errors"), ("max_frames", "max_frames"),
-                          ("seed", "seed"), ("workers", "workers"), ("format", "out_format"),
-                          ("out", "out_path")):
-        assert parser.get_default(flag) == defaults[setting], flag
+    config_fields = dataclasses.fields(sim.SimConfig)
+    for field in config_fields:
+        if field.default is not dataclasses.MISSING:
+            assert parser.get_default(field.name) == field.default, field.name
+    # every flag lands on the SimConfig field of the same name, and nothing else does
+    args = parser.parse_args(["--code", "x", "--ebno", "1"])
+    assert set(vars(args)) == {field.name for field in config_fields}
 
 
 def test_large_bfmap_code_constructs_and_runs(capsys):

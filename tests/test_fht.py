@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import exhaustive_scores, sylvester
 from rmproduct import rm_core
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
 
 
-def sylvester(m):
-    h = np.array([[1.0]])
-    for _ in range(m):
-        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
-    return h
-
-
 def naive_ml(llr, code):
     """Exhaustive correlation decoder; returns (codeword, info, unique_max)."""
-    words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
-    scores = np.asarray(llr) @ (1.0 - 2.0 * words).T
+    scores, words = exhaustive_scores(llr, code)
     order = np.argsort(-scores)
     unique = scores[order[0]] > scores[order[1]]
     best = int(np.argmax(scores))

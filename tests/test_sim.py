@@ -167,6 +167,8 @@ def test_config_validation():
         sim.SimConfig(code="rm(2,1)", out_format="xml")
     with pytest.raises(ValueError, match="garbage"):
         sim.SimConfig(code="garbage")
+    with pytest.raises(ValueError, match="Eb/N0"):
+        sim.SimConfig(code="rm(2,1)")
 
 
 def test_run_point_accepts_prebuilt_code():
