@@ -30,14 +30,15 @@ def fiber_block(values, length=None):
     return block, lambda result: result.reshape(outer + result.shape[1:2] + inner).transpose(inverse)
 
 
-def prefix_butterfly(op, first, rows, dtype):
+def prefix_butterfly(op, first, rows):
     """Re-expand (pre, 1, post) `first` and (pre, m, post) `rows` to (pre, 2^m, post).
 
-    Each row, the last one first, doubles the prefix to op(prefix, row), so row
-    b feeds the positions with bit 2^(m-1-b) set, as info bit b+1 of RM(m, 1).
+    Each row, the last one first, doubles the prefix to op(prefix, row) in the
+    dtype of `first`, so row b feeds the positions with bit 2^(m-1-b) set, as
+    info bit b+1 of RM(m, 1).
     """
     pre, m, post = rows.shape
-    out = np.empty((pre, 1 << m, post), dtype=dtype)
+    out = np.empty((pre, 1 << m, post), dtype=first.dtype)
     out[:, :1] = first
     for b in range(m - 1, -1, -1):
         width = 1 << (m - 1 - b)
@@ -86,7 +87,7 @@ def fht_ml_decode_batch(llrs, code, counter=None):
     infos = np.empty((pre, m + 1, post), dtype=np.uint8)
     infos[:, 0] = peak < 0.0
     infos[:, 1:] = (index[:, None] >> np.arange(m - 1, -1, -1)[:, None]) & 1  # MSB first
-    codewords = prefix_butterfly(np.bitwise_xor, infos[:, :1], infos[:, 1:], np.uint8)
+    codewords = prefix_butterfly(np.bitwise_xor, infos[:, :1], infos[:, 1:])
     if counter is not None:
         counter.compare += pre * post * (n - 1)
         counter.depth += m

@@ -121,7 +121,7 @@ def _decode_fibers(comp: Component, fibers: np.ndarray, mode: str, counter) -> n
     """Run the component decoder along the last axis of `fibers`, a view of the tensor."""
     if comp.decoder == BF_MAP:
         if mode == SOFT:
-            return brute_force_soft_map_batch(fibers, comp.code, counter)[1]
+            return brute_force_soft_map_batch(fibers, comp.code, counter)
         return bpsk_modulate(brute_force_ml_decode_batch(fibers, comp.code, counter))
     if mode == SOFT:
         return soft_fht_decode_batch(fibers, comp.code, counter)

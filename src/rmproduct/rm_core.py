@@ -124,8 +124,7 @@ def encode_batch(code: RmCode, infos) -> np.ndarray:
     infos = np.asarray(infos, dtype=np.uint8)
     if infos.ndim == 0 or infos.shape[-1] != code.k:
         raise ValueError(f"information words have shape {infos.shape}, expected (..., {code.k})")
-    products = infos.astype(np.int32) @ code.generator.astype(np.int32)
-    return (products & 1).astype(np.uint8)
+    return (infos @ code.generator) & 1  # uint8 sums wrap mod 256, keeping their parity
 
 
 def binary_words(k: int) -> np.ndarray:

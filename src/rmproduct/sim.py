@@ -14,7 +14,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +25,8 @@ from .ops import OpCounter
 CHUNK_FRAMES = 256  # fixed batch size; part of the determinism contract
 # Version of the result values, recorded in the JSON config.  2: ops_per_decode
 # counts the n-1 compares and sign XORs per fiber of the min-sum butterfly.
-RESULT_FORMAT = 2
+# 3: the exhaustive soft-MAP counts only the n code-position LLRs it computes.
+RESULT_FORMAT = 3
 # Version of the seeded random streams, recorded in the JSON config.  2: one
 # bit stream and one noise stream per chunk, keyed by (seed, chunk index).
 RNG_SCHEME = 2
@@ -39,7 +40,7 @@ class SimConfig:
     code: str
     decoder: str = product.SOFT
     iterations: int = 3
-    ebno_dbs: tuple[float, ...] = ()
+    ebno_dbs: tuple[float, ...] = field(kw_only=True)
     min_block_errors: int = 100
     max_frames: int = 10_000_000
     seed: int = 1

@@ -4,9 +4,8 @@ The SISO component decoder works in three steps along the last axis of any
 (..., n) array: transform the channel LLRs to the Walsh spectrum, form max-log
 LLRs for the k = m+1 information bits from the two halves of the spectrum
 that each bit splits it into, then re-expand them to the n code positions by
-a min-sum prefix butterfly.  A brute-force soft-MAP over all 2^k codewords
-doubles as the exact max-log oracle for the fast path and as the component
-decoder for small codes of order above one.
+a min-sum prefix butterfly.  A brute-force soft-MAP over all 2^k codewords is
+the component decoder for small codes of order above one.
 """
 
 from functools import lru_cache
@@ -56,8 +55,8 @@ def encoded_bit_llrs_batch(info_llrs, code, counter=None) -> np.ndarray:
     pre, _, post = block.shape
     magnitudes = np.abs(block)
     negative = block < 0.0
-    least = prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:], np.float64)
-    flips = prefix_butterfly(np.logical_xor, negative[:, :1], negative[:, 1:], bool)
+    least = prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:])
+    flips = prefix_butterfly(np.logical_xor, negative[:, :1], negative[:, 1:])
     least *= bpsk_modulate(flips)
     if counter is not None:
         counter.compare += pre * post * (code.n - 1)
@@ -74,15 +73,13 @@ def soft_fht_decode_batch(llrs, code, counter=None) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _codebook(code: rm_core.RmCode):
-    """Cached (codewords, +-1 codewords, labels) enumeration.  Row i of the
-    (2^k, k+n) labels is information word i followed by its codeword."""
+    """Cached (codewords, +-1 codewords) enumeration; row i encodes information word i."""
     if code.k > MAX_BF_DIM:
         raise rm_core.SizeLimitError(
             f"{code.descriptor}: brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}"
         )
-    infos = rm_core.binary_words(code.k)
-    codewords = rm_core.encode_batch(code, infos)
-    return codewords, bpsk_modulate(codewords), np.hstack([infos, codewords])
+    codewords = rm_core.encode_batch(code, rm_core.binary_words(code.k))
+    return codewords, bpsk_modulate(codewords)
 
 
 def _correlations(llrs, signs):
@@ -92,30 +89,30 @@ def _correlations(llrs, signs):
     return llrs.shape[:-1], llrs.reshape(-1, llrs.shape[-1]) @ signs.T
 
 
-def brute_force_soft_map_batch(llrs, code, counter=None):
+def brute_force_soft_map_batch(llrs, code, counter=None) -> np.ndarray:
     """Exact max-log soft MAP along the last axis of (..., n) LLRs, over any small code.
 
-    Returns (information-bit LLRs (..., k), code-position LLRs (..., n)), both
-    by exhaustive correlation against all 2^k codewords.
+    Returns the code-position LLRs (..., n), by exhaustive correlation against
+    all 2^k codewords.
     """
-    _, signs, labels = _codebook(code)
+    codewords, signs = _codebook(code)
     lead, scores = _correlations(llrs, signs)
     rows, count = scores.shape
-    k, n = code.k, code.n
-    out = np.empty((rows, k + n))
-    for j, zero in enumerate(labels.T == 0):
+    n = code.n
+    out = np.empty((rows, n))
+    for j, zero in enumerate(codewords.T == 0):
         out[:, j] = scores[:, zero].max(axis=1) - scores[:, ~zero].max(axis=1)
     if counter is not None:
-        counter.add_sub += rows * (count * (n - 1) + k + n)
-        counter.compare += rows * (k + n) * (count - 2)
-        counter.depth += (n.bit_length() - 1) + k + 1
-    return out[:, :k].reshape(lead + (k,)), out[:, k:].reshape(lead + (n,))
+        counter.add_sub += rows * (count * (n - 1) + n)
+        counter.compare += rows * n * (count - 2)
+        counter.depth += (n.bit_length() - 1) + code.k + 1
+    return out.reshape(lead + (n,))
 
 
 def brute_force_ml_decode_batch(llrs, code, counter=None) -> np.ndarray:
     """Exhaustive hard ML codewords (..., n) along the last axis of (..., n)
     LLRs, over any small code (ties to the lowest codeword index)."""
-    codewords, signs, _ = _codebook(code)
+    codewords, signs = _codebook(code)
     lead, scores = _correlations(llrs, signs)
     best = np.argmax(scores, axis=1)
     if counter is not None:

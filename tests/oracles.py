@@ -36,3 +36,12 @@ def exhaustive_scores(block, code):
     """Correlations of each LLR row against every +-1 codeword, and the codewords."""
     words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
     return np.asarray(block) @ (1.0 - 2.0 * words).T, words
+
+
+def exhaustive_info_llrs(block, code):
+    """Max-log LLRs of the k information bits of each LLR row: for each bit, the
+    best score with the bit 0 minus the best score with the bit 1."""
+    scores, _ = exhaustive_scores(block, code)
+    bits = rm_core.binary_words(code.k).T == 0  # score j belongs to the binary word of j
+    return np.stack([scores[..., zero].max(axis=-1) - scores[..., ~zero].max(axis=-1)
+                     for zero in bits], axis=-1)

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from oracles import exhaustive_scores, min_nonzero_weight, sylvester
+from oracles import exhaustive_info_llrs, exhaustive_scores, min_nonzero_weight, sylvester
 from rmproduct import rm_core, sim
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
@@ -21,11 +21,7 @@ from rmproduct.product import (
     product_decode_batch,
     product_encode_batch,
 )
-from rmproduct.soft_fht import (
-    brute_force_soft_map_batch,
-    info_bit_llrs_batch,
-    soft_fht_decode_batch,
-)
+from rmproduct.soft_fht import info_bit_llrs_batch, soft_fht_decode_batch
 
 SEED = 20260809
 TREND_EBNO = 2.5
@@ -90,7 +86,7 @@ def test_criterion_2_soft_oracle_equivalence():
         rng = np.random.default_rng(SEED + 10 + m)
         block = rng.normal(size=(1000, code.n)) * 2.0
         fast = info_bit_llrs_batch(fht(block), code)
-        slow = brute_force_soft_map_batch(block, code)[0]
+        slow = exhaustive_info_llrs(block, code)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     _report(2, "soft info-bit LLR oracle equivalence", worst < 1e-9,
             f"max |diff| = {worst:.2e}")

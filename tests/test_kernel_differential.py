@@ -224,22 +224,20 @@ def test_brute_force_and_encode_take_any_leading_shape(m, r, case):
         fibers, infos = _lay_out(llrs, layout, shape), _lay_out(words, layout, shape)
         lead = fibers.shape[:-1]
         rows, info_rows = fibers.reshape(-1, code.n).copy(), infos.reshape(-1, code.k).copy()
-        info, coded = brute_force_soft_map_batch(fibers, code)
+        coded = brute_force_soft_map_batch(fibers, code)
         decided = brute_force_ml_decode_batch(fibers, code)
         encoded = rm_core.encode_batch(code, infos)
-        assert info.shape == lead + (code.k,) and coded.shape == decided.shape == lead + (code.n,)
+        assert coded.shape == decided.shape == lead + (code.n,)
         assert encoded.shape == lead + (code.n,) and encoded.dtype == np.uint8
         assert np.array_equal(encoded.reshape(-1, code.n),
                               [rm_core.encode_batch(code, row) for row in info_rows]), layout
         # one call on the rows is the same arithmetic
-        assert np.array_equal(info.reshape(-1, code.k), brute_force_soft_map_batch(rows, code)[0])
-        assert np.array_equal(coded.reshape(-1, code.n), brute_force_soft_map_batch(rows, code)[1])
+        assert np.array_equal(coded.reshape(-1, code.n), brute_force_soft_map_batch(rows, code))
         assert np.array_equal(decided.reshape(-1, code.n), brute_force_ml_decode_batch(rows, code))
         if kind not in EXACT_KINDS:  # a one-row product may round differently
             continue
-        singles = [brute_force_soft_map_batch(row, code) for row in rows]
-        assert np.array_equal(info.reshape(-1, code.k), [single[0] for single in singles]), layout
-        assert np.array_equal(coded.reshape(-1, code.n), [single[1] for single in singles]), layout
+        assert np.array_equal(coded.reshape(-1, code.n),
+                              [brute_force_soft_map_batch(row, code) for row in rows]), layout
         assert np.array_equal(decided.reshape(-1, code.n),
                               [brute_force_ml_decode_batch(row, code) for row in rows]), layout
         scores = rows @ (1.0 - 2.0 * codebook).T  # exact: ties stay ties
@@ -295,7 +293,7 @@ def _rows_decode(code, received, sigma2, iterations, mode):
             moved = np.moveaxis(tensor, axis, -1)
             flat = moved.reshape(-1, comp.code.n)
             if comp.decoder == BF_MAP:
-                updated = (brute_force_soft_map_batch(flat, comp.code)[1] if mode == "soft"
+                updated = (brute_force_soft_map_batch(flat, comp.code) if mode == "soft"
                            else 1.0 - 2.0 * brute_force_ml_decode_batch(flat, comp.code))
             else:
                 updated = (_rows_soft if mode == "soft" else _rows_hard)(flat, comp.code)

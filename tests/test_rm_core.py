@@ -98,6 +98,17 @@ def test_encode_is_linear():
         assert np.array_equal(both, rm_core.encode_batch(code, u) ^ rm_core.encode_batch(code, v))
 
 
+def test_encode_keeps_parity_past_255_ones():
+    code = rm_core.build_rm_code(10, 5)  # k = 638
+    rng = np.random.default_rng(13)
+    infos = rng.integers(0, 2, (4, code.k), dtype=np.uint8)
+    sums = infos.astype(np.int64) @ code.generator.astype(np.int64)
+    assert sums.max() > 255  # the uint8 sums wrap
+    encoded = rm_core.encode_batch(code, infos)
+    assert encoded.dtype == np.uint8
+    assert np.array_equal(encoded, sums % 2)
+
+
 def test_encode_rejects_wrong_length():
     code = rm_core.build_rm_code(3, 1)
     with pytest.raises(ValueError):

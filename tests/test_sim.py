@@ -151,23 +151,26 @@ def test_json_format_carries_config():
 
 
 def test_config_validation():
+    grid = (1.0,)
     with pytest.raises(ValueError):
-        sim.SimConfig(code="rm(2,1)", decoder="fuzzy")
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, decoder="fuzzy")
     with pytest.raises(ValueError):
-        sim.SimConfig(code="rm(2,1)", iterations=0)
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, iterations=0)
     with pytest.raises(ValueError):
-        sim.SimConfig(code="rm(2,1)", min_block_errors=0)
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, min_block_errors=0)
     with pytest.raises(ValueError):
-        sim.SimConfig(code="rm(2,1)", max_frames=0)
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, max_frames=0)
     with pytest.raises(ValueError):
-        sim.SimConfig(code="rm(2,1)", workers=0)
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, workers=0)
     with pytest.raises(ValueError, match="seed"):
-        sim.SimConfig(code="rm(2,1)", seed=-1)
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, seed=-1)
     with pytest.raises(ValueError):
-        sim.SimConfig(code="rm(2,1)", out_format="xml")
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, out_format="xml")
     with pytest.raises(ValueError, match="garbage"):
-        sim.SimConfig(code="garbage")
+        sim.SimConfig(code="garbage", ebno_dbs=grid)
     with pytest.raises(ValueError, match="Eb/N0"):
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=())
+    with pytest.raises(TypeError, match="ebno_dbs"):
         sim.SimConfig(code="rm(2,1)")
 
 
@@ -194,8 +197,23 @@ def test_json_config_records_result_format():
     stream = io.StringIO()
     sim.emit_json(sim.run_sweep(config), config, stream)
     described = json.loads(stream.getvalue())["config"]
-    assert described["result_format"] == sim.RESULT_FORMAT == 2
+    assert described["result_format"] == sim.RESULT_FORMAT == 3
     assert described["rng"] == sim.RNG_SCHEME == 2
+
+
+# A change to any of these counts changes result values, so it must also bump
+# RESULT_FORMAT, which is pinned beside them.
+@pytest.mark.parametrize("descriptor, soft, hard", [
+    ("rm(6,1)xrm(2,1)", 17364, 7476),
+    ("rm(4,1)xrm(4,1)", 17760, 7584),
+    ("rm(10,1)xrm(2,1)", 377700, 168948),
+    ("rm(3,1)xrm(3,1)xrm(3,1)", 42624, 17856),
+    ("rm(11,1)xrm(3,2):bfmap", 13024944, 6875112),
+])
+def test_ops_per_decode_of_the_benchmark_matrix(descriptor, soft, hard):
+    assert sim.RESULT_FORMAT == 3
+    assert sim._ops_per_decode(descriptor, "soft", 3) == soft
+    assert sim._ops_per_decode(descriptor, "hard", 3) == hard
 
 
 def chunk_args(ebno_db=0.5, seed=77):
