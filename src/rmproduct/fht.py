@@ -1,13 +1,15 @@
 """Fast Walsh-Hadamard transform and hard ML decoding of first-order RM codes.
 
-Every first-order kernel (here and in `soft_fht`) works along the last axis of
-any (..., n) array, on a (pre, n, post) view laid out as the array sits in
-memory, so product-tensor fibers are decoded in place along any axis.
+Every component kernel (here and in `soft_fht`) views its (..., n) input as a
+(pre, n, post) block laid out as it sits in memory and returns float64 in that
+layout, so product-tensor fibers are decoded in place along any axis.
 """
 
 import math
 
 import numpy as np
+
+from .channel import bpsk_modulate
 
 
 def fiber_block(values, length=None):
@@ -76,8 +78,7 @@ def fht_ml_decode_batch(llrs, code, counter=None):
     """Hard ML decoding along the last axis of a (..., n) LLR array.
 
     Picks the spectrum entry of largest magnitude (ties to the smallest index,
-    zero sign treated as positive); returns uint8 (codewords (..., n),
-    information words (..., m+1)).
+    zero sign treated as positive); returns the +-1 codewords (..., n).
     """
     spectra, restore = fiber_block(fht(llrs, counter), code.n)
     pre, n, post = spectra.shape
@@ -91,4 +92,4 @@ def fht_ml_decode_batch(llrs, code, counter=None):
     if counter is not None:
         counter.compare += pre * post * (n - 1)
         counter.depth += m
-    return restore(codewords), restore(infos)
+    return restore(bpsk_modulate(codewords))

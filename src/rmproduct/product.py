@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rm_core, soft_fht
-from .channel import bpsk_modulate
 from .fht import fht_ml_decode_batch
 from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
@@ -120,12 +119,10 @@ def product_encode_batch(code: ProductCode, infos) -> np.ndarray:
 def _decode_fibers(comp: Component, fibers: np.ndarray, mode: str, counter) -> np.ndarray:
     """Run the component decoder along the last axis of `fibers`, a view of the tensor."""
     if comp.decoder == BF_MAP:
-        if mode == SOFT:
-            return brute_force_soft_map_batch(fibers, comp.code, counter)
-        return bpsk_modulate(brute_force_ml_decode_batch(fibers, comp.code, counter))
-    if mode == SOFT:
-        return soft_fht_decode_batch(fibers, comp.code, counter)
-    return bpsk_modulate(fht_ml_decode_batch(fibers, comp.code, counter)[0])  # +-1 re-enters the loop
+        decoder = brute_force_soft_map_batch if mode == SOFT else brute_force_ml_decode_batch
+    else:
+        decoder = soft_fht_decode_batch if mode == SOFT else fht_ml_decode_batch
+    return decoder(fibers, comp.code, counter)
 
 
 def product_decode_batch(code: ProductCode, received, sigma2: float,

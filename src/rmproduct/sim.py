@@ -144,11 +144,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1  # macOS and Windows
 
 
-def _pool_size(workers: int) -> int:
-    """Worker processes for `workers`: at most the CPUs this process may run on."""
-    return min(workers, usable_cpus())
-
-
 @lru_cache(maxsize=64)
 def _ops_per_decode(descriptor: str, mode: str, iterations: int) -> float:
     """Counted operations of one decode; input-independent, so measured once."""
@@ -158,14 +153,14 @@ def _ops_per_decode(descriptor: str, mode: str, iterations: int) -> float:
     return float(counter.total())
 
 
-def _tallies(pool, workers: int, chunks):
+def _tallies(pool, processes: int, chunks):
     """Yield the tallies of `chunks` (_run_chunk argument tuples) in order: run
-    here when `pool` is None, else with 2 * _pool_size(workers) + 2 chunks in
-    flight, those still pending cancelled when the generator is closed."""
+    here when `pool` is None, else with 2 * processes + 2 chunks in flight,
+    those still pending cancelled when the generator is closed."""
     if pool is None:
         yield from (_run_chunk(*args) for args in chunks)
         return
-    window = 2 * _pool_size(workers) + 2
+    window = 2 * processes + 2
     pending = deque()
     try:
         for args in chunks:
@@ -180,15 +175,16 @@ def _tallies(pool, workers: int, chunks):
 
 
 def run_sweep(config: SimConfig) -> list[SimPoint]:
-    """Estimate BLER/BER at each Eb/N0 point of a sweep, with every point's
-    chunks in one process pool when `workers` > 1, else in this process.
+    """Estimate BLER/BER at each Eb/N0 point of a sweep, with every point's chunks
+    in one pool of min(`workers`, usable CPUs) processes if that exceeds 1, else here.
 
     Frames are compared at the codeword level (the decoder returns a hard
     codeword, not information bits); a block error is any bit mismatch.
     """
     code = _cached_code(config.code)
+    processes = min(config.workers, usable_cpus())
     points = []
-    with (ProcessPoolExecutor(max_workers=_pool_size(config.workers)) if config.workers > 1
+    with (ProcessPoolExecutor(max_workers=processes) if processes > 1
           else contextlib.nullcontext()) as pool:
         for ebno_db in config.ebno_dbs:
             sigma2 = channel.ebno_db_to_sigma2(ebno_db, code.rate)
@@ -197,7 +193,7 @@ def run_sweep(config: SimConfig) -> list[SimPoint]:
                       for start in range(0, config.max_frames, CHUNK_FRAMES))  # lazy: may be 10**12
             frames_run = block_errors = bit_errors = 0
             # Closed inside the pool's block, so pending chunks are cancelled before it shuts down.
-            with contextlib.closing(_tallies(pool, config.workers, chunks)) as tallies:
+            with contextlib.closing(_tallies(pool, processes, chunks)) as tallies:
                 for flags, bit_counts in tallies:
                     # Up to and including the frame that meets the target, if it is here.
                     cumulative = np.cumsum(flags)
@@ -229,7 +225,7 @@ def run_point(code, *, mode: str, iterations: int, ebno_db: float,
     """Estimate BLER/BER at one Eb/N0 point: a one-point run_sweep.
 
     `code` is a ProductCode or its descriptor string.  Chunks run in a pool of
-    their own when `workers` > 1, else in this process.
+    their own when `workers` and the usable CPUs both exceed one, else in this process.
     """
     descriptor = code.descriptor if isinstance(code, product.ProductCode) else code
     return run_sweep(SimConfig(code=descriptor, decoder=mode, iterations=iterations,

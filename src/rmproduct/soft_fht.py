@@ -72,21 +72,20 @@ def soft_fht_decode_batch(llrs, code, counter=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _codebook(code: rm_core.RmCode):
-    """Cached (codewords, +-1 codewords) enumeration; row i encodes information word i."""
+def _codebook(code: rm_core.RmCode) -> np.ndarray:
+    """Cached +-1 codewords (2^k, n); row i encodes information word i."""
     if code.k > MAX_BF_DIM:
         raise rm_core.SizeLimitError(
             f"{code.descriptor}: brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}"
         )
-    codewords = rm_core.encode_batch(code, rm_core.binary_words(code.k))
-    return codewords, bpsk_modulate(codewords)
+    return bpsk_modulate(rm_core.encode_batch(code, rm_core.binary_words(code.k)))
 
 
-def _correlations(llrs, signs):
-    """The leading shape of (..., n) LLRs and their (rows, 2^k) correlations
-    with the +-1 codewords, one row per fiber in C order."""
-    llrs = np.asarray(llrs, dtype=np.float64)
-    return llrs.shape[:-1], llrs.reshape(-1, llrs.shape[-1]) @ signs.T
+def _correlations(block, signs):
+    """(pre, post, 2^k) correlations of a (pre, n, post) block's fibers with
+    the +-1 codewords, as one (pre * post, n) @ (n, 2^k) product."""
+    pre, n, post = block.shape
+    return (block.transpose(0, 2, 1).reshape(-1, n) @ signs.T).reshape(pre, post, -1)
 
 
 def brute_force_soft_map_batch(llrs, code, counter=None) -> np.ndarray:
@@ -95,29 +94,31 @@ def brute_force_soft_map_batch(llrs, code, counter=None) -> np.ndarray:
     Returns the code-position LLRs (..., n), by exhaustive correlation against
     all 2^k codewords.
     """
-    codewords, signs = _codebook(code)
-    lead, scores = _correlations(llrs, signs)
-    rows, count = scores.shape
-    n = code.n
-    out = np.empty((rows, n))
-    for j, zero in enumerate(codewords.T == 0):
-        out[:, j] = scores[:, zero].max(axis=1) - scores[:, ~zero].max(axis=1)
+    signs = _codebook(code)
+    block, restore = fiber_block(llrs, code.n)
+    pre, n, post = block.shape
+    scores = _correlations(block, signs)
+    out = np.empty(block.shape)
+    for j, zero in enumerate(signs.T > 0.0):
+        out[:, j] = scores[..., zero].max(axis=-1) - scores[..., ~zero].max(axis=-1)
     if counter is not None:
+        rows, count = pre * post, len(signs)
         counter.add_sub += rows * (count * (n - 1) + n)
         counter.compare += rows * n * (count - 2)
         counter.depth += (n.bit_length() - 1) + code.k + 1
-    return out.reshape(lead + (n,))
+    return restore(out)
 
 
 def brute_force_ml_decode_batch(llrs, code, counter=None) -> np.ndarray:
-    """Exhaustive hard ML codewords (..., n) along the last axis of (..., n)
-    LLRs, over any small code (ties to the lowest codeword index)."""
-    codewords, signs = _codebook(code)
-    lead, scores = _correlations(llrs, signs)
-    best = np.argmax(scores, axis=1)
+    """Exhaustive hard ML along the last axis of (..., n) LLRs, over any small
+    code (ties to the lowest codeword index); returns the +-1 codewords (..., n)."""
+    signs = _codebook(code)
+    block, restore = fiber_block(llrs, code.n)
+    pre, n, post = block.shape
+    best = np.argmax(_correlations(block, signs), axis=-1)
     if counter is not None:
-        rows, count = scores.shape
-        counter.add_sub += rows * count * (code.n - 1)
+        rows, count = pre * post, len(signs)
+        counter.add_sub += rows * count * (n - 1)
         counter.compare += rows * (count - 1)
-        counter.depth += (code.n.bit_length() - 1) + code.k
-    return codewords[best].reshape(lead + (code.n,))
+        counter.depth += (n.bit_length() - 1) + code.k
+    return restore(signs[best[:, None, :], np.arange(n)[:, None]])  # (pre, n, post)

@@ -8,12 +8,11 @@ from rmproduct.ops import OpCounter
 
 
 def naive_ml(llr, code):
-    """Exhaustive correlation decoder; returns (codeword, info, unique_max)."""
+    """Exhaustive correlation decoder; returns (codeword, unique_max)."""
     scores, words = exhaustive_scores(llr, code)
     order = np.argsort(-scores)
     unique = scores[order[0]] > scores[order[1]]
-    best = int(np.argmax(scores))
-    return words[best], rm_core.binary_words(code.k)[best], unique
+    return words[int(np.argmax(scores))], unique
 
 
 def test_base_butterfly():
@@ -73,33 +72,29 @@ def test_operation_count_and_depth():
 
 def test_ml_decode_all_positive():
     code = rm_core.build_rm_code(2, 1)
-    codeword, info = fht_ml_decode_batch([10.0, 10.0, 10.0, 10.0], code)
-    assert codeword.tolist() == [0, 0, 0, 0]
-    assert info.tolist() == [0, 0, 0]
+    codeword = fht_ml_decode_batch([10.0, 10.0, 10.0, 10.0], code)
+    assert codeword.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_ml_decode_all_negative():
     code = rm_core.build_rm_code(2, 1)
-    codeword, info = fht_ml_decode_batch([-10.0, -10.0, -10.0, -10.0], code)
-    assert codeword.tolist() == [1, 1, 1, 1]
-    assert info.tolist() == [1, 0, 0]
+    codeword = fht_ml_decode_batch([-10.0, -10.0, -10.0, -10.0], code)
+    assert codeword.tolist() == [-1.0, -1.0, -1.0, -1.0]
 
 
 def test_ml_decode_zero_llrs_break_to_zero_word():
     # all-zero spectrum: smallest index wins, sign(0) counts as positive
     code = rm_core.build_rm_code(3, 1)
-    codeword, info = fht_ml_decode_batch(np.zeros(8), code)
-    assert not codeword.any()
-    assert not info.any()
+    codeword = fht_ml_decode_batch(np.zeros(8), code)
+    assert not (codeword < 0).any()
 
 
 def test_ml_decode_magnitude_tie_prefers_smallest_index():
     # spectrum engineered to [5, -5, 0, 0]: equal magnitudes at indices 0 and 1
     code = rm_core.build_rm_code(2, 1)
     llr = fht([5.0, -5.0, 0.0, 0.0]) / 4.0
-    codeword, info = fht_ml_decode_batch(llr, code)
-    assert codeword.tolist() == [0, 0, 0, 0]
-    assert info.tolist() == [0, 0, 0]
+    codeword = fht_ml_decode_batch(llr, code)
+    assert codeword.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -109,12 +104,11 @@ def test_ml_decode_matches_exhaustive_search(m):
     checked = 0
     for _ in range(300):
         llr = rng.normal(size=code.n) * 2.0
-        expected_cw, expected_info, unique = naive_ml(llr, code)
+        expected_cw, unique = naive_ml(llr, code)
         if not unique:
             continue
-        codeword, info = fht_ml_decode_batch(llr, code)
-        assert np.array_equal(codeword, expected_cw)
-        assert np.array_equal(info, expected_info)
+        codeword = fht_ml_decode_batch(llr, code)
+        assert np.array_equal(codeword, 1.0 - 2.0 * expected_cw)
         checked += 1
     assert checked > 250
 
@@ -123,11 +117,9 @@ def test_ml_decode_batch_matches_single():
     code = rm_core.build_rm_code(4, 1)
     rng = np.random.default_rng(9)
     block = rng.normal(size=(50, 16))
-    codewords, infos = fht_ml_decode_batch(block, code)
+    codewords = fht_ml_decode_batch(block, code)
     for i in range(50):
-        cw, info = fht_ml_decode_batch(block[i], code)
-        assert np.array_equal(codewords[i], cw)
-        assert np.array_equal(infos[i], info)
+        assert np.array_equal(codewords[i], fht_ml_decode_batch(block[i], code))
 
 
 def test_codeword_hadamard_alignment():

@@ -211,12 +211,19 @@ def test_single_iteration_hard_equals_manual_axis_sweep():
     decided, tensor = product_decode_batch(code, y, 1.0, 1, "hard")
 
     manual = (2.0 * y).reshape(4, 8)
-    rows_hard, _ = fht_ml_decode_batch(manual, code1)
-    manual = 1.0 - 2.0 * rows_hard                         # hard decisions re-modulated
-    cols_hard, _ = fht_ml_decode_batch(manual.T, code2)
-    manual = (1.0 - 2.0 * cols_hard).T
+    manual = fht_ml_decode_batch(manual, code1)            # +-1 hard decisions
+    manual = fht_ml_decode_batch(manual.T, code2).T
     assert np.array_equal(tensor, manual)
     assert np.array_equal(decided, (manual.reshape(-1) < 0).astype(np.uint8))
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_final_llrs_keep_the_frames_on_the_smallest_stride(mode):
+    # every component decoder, the exhaustive one included, returns its input's layout
+    code = product_code_from_descriptor("rm(4,1)xrm(3,2):bfmap")
+    received = np.random.default_rng(114).normal(size=(32, code.n_t))
+    _, tensor = product_decode_batch(code, received, 1.0, 3, mode)
+    assert tensor.strides[0] == tensor.itemsize == min(tensor.strides)
 
 
 def test_soft_decision_invariant_to_noise_variance_scale():

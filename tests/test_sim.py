@@ -302,14 +302,21 @@ def inline_pool(monkeypatch):
     return InlinePool
 
 
-def test_pool_is_clamped_to_usable_cpus_and_shared_by_a_sweep(inline_pool):
-    cpus = len(os.sched_getaffinity(0))
+def test_pool_is_clamped_to_usable_cpus_and_shared_by_a_sweep(inline_pool, monkeypatch):
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 3)
     point = quick_point(workers=10**6)
     assert point == quick_point(workers=1)
     config = sim.SimConfig(code="rm(3,1)xrm(2,1)", iterations=2, ebno_dbs=(0.0, 1.0, 2.0),
                            min_block_errors=25, max_frames=3000, seed=77, workers=10**6)
     assert sim.run_sweep(config)[1] == point
-    assert inline_pool.sizes == [cpus, cpus]  # one for the point, one for the whole sweep
+    assert inline_pool.sizes == [3, 3]  # one for the point, one for the whole sweep
+
+
+def test_no_pool_is_opened_when_one_cpu_is_usable(inline_pool, monkeypatch):
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 1)
+    point = quick_point(workers=4)
+    assert inline_pool.sizes == []
+    assert point == quick_point(workers=1)
 
 
 @pytest.mark.parametrize("setting, value, named", [
@@ -330,10 +337,12 @@ def test_run_point_rejects_bad_settings_before_any_chunk(setting, value, named,
     assert inline_pool.sizes == [] and chunks_run == []
 
 
-def test_pool_keeps_a_fixed_window_of_chunks_in_flight(inline_pool):
+def test_pool_keeps_a_fixed_window_of_chunks_in_flight(inline_pool, monkeypatch):
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 8)
     point = quick_point(ebno_db=-2.0, min_block_errors=3, max_frames=10**12, workers=2)
     assert point.frames < sim.CHUNK_FRAMES  # stops inside the first chunk
-    window = 2 * sim._pool_size(2) + 2
+    assert inline_pool.sizes == [2]
+    window = 2 * 2 + 2  # two processes
     assert inline_pool.submitted == [i * sim.CHUNK_FRAMES for i in range(window)]
 
 

@@ -131,8 +131,8 @@ def test_soft_decode_signs_match_hard_ml():
     rng = np.random.default_rng(41)
     block = rng.normal(size=(2000, 32)) * 1.5
     soft = soft_fht_decode_batch(block, code)
-    hard, _ = fht_ml_decode_batch(block, code)
-    assert np.array_equal((soft < 0).astype(np.uint8), hard)
+    hard = fht_ml_decode_batch(block, code)
+    assert np.array_equal(soft < 0, hard < 0)
 
 
 def test_soft_decode_batch_matches_single():
@@ -169,7 +169,40 @@ def test_brute_force_handles_second_order_code():
     assert coded.shape == (8,)
     # hard thresholds of the coded LLRs reproduce the exhaustive ML word
     best = brute_force_ml_decode_batch(llr[None, :], code)[0]
-    assert np.array_equal((coded < 0).astype(np.uint8), best)
+    assert np.array_equal(coded < 0, best < 0)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("decoder, order", [
+    (soft_fht_decode_batch, 1),
+    (fht_ml_decode_batch, 1),
+    (brute_force_soft_map_batch, 2),
+    (brute_force_ml_decode_batch, 2),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_component_decoders_return_float64_laid_out_like_the_input(decoder, order, axis):
+    code = rm_core.build_rm_code(3, order)
+    shape = [5, 6, 7]
+    shape[axis] = code.n
+    fibers = np.moveaxis(np.random.default_rng(axis).normal(size=shape), axis, -1)
+    out = decoder(fibers, code)
+    assert out.dtype == np.float64 and out.shape == fibers.shape
+    assert np.array_equal(np.argsort(out.strides), np.argsort(fibers.strides))
+    if decoder in (fht_ml_decode_batch, brute_force_ml_decode_batch):
+        assert np.array_equal(np.abs(out), np.ones(out.shape))  # the +-1 codewords
+
+
+@pytest.mark.parametrize("decoder, length, order", [
+    (fht_ml_decode_batch, 16, 1),
+    (info_bit_llrs_batch, 16, 1),
+    (encoded_bit_llrs_batch, 5, 1),  # reads k = 4 information-bit LLRs
+    (soft_fht_decode_batch, 16, 1),
+    (brute_force_soft_map_batch, 7, 2),
+    (brute_force_ml_decode_batch, 7, 2),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_fibers_of_the_wrong_length_are_rejected(decoder, length, order):
+    # the FHT kernels get a power of two: another length fails in the transform first
+    with pytest.raises(ValueError, match="fibers have length"):
+        decoder(np.zeros(length), rm_core.build_rm_code(3, order))
 
 
 def test_brute_force_dimension_cap():
