@@ -17,6 +17,7 @@ from .channel import bpsk_modulate
 from .fht import fht, fiber_block, prefix_butterfly
 
 MAX_BF_DIM = 16
+SCORE_BLOCK_SIZE = 1 << 17  # scores per codeword-major block copy (1 MiB): 1,024 fibers at k = 7
 
 
 def info_bit_llrs_batch(spectra, code, counter=None) -> np.ndarray:
@@ -81,6 +82,13 @@ def _codebook(code: rm_core.RmCode) -> np.ndarray:
     return bpsk_modulate(rm_core.encode_batch(code, rm_core.binary_words(code.k)))
 
 
+@lru_cache(maxsize=None)
+def _column_splits(code: rm_core.RmCode) -> tuple:
+    """Cached (codeword indices with bit j = 0, with bit j = 1) for each position j."""
+    return tuple((np.flatnonzero(column > 0.0), np.flatnonzero(column < 0.0))
+                 for column in _codebook(code).T)
+
+
 def _correlations(block, signs):
     """(pre, post, 2^k) correlations of a (pre, n, post) block's fibers with
     the +-1 codewords, as one (pre * post, n) @ (n, 2^k) product."""
@@ -92,15 +100,24 @@ def brute_force_soft_map_batch(llrs, code, counter=None) -> np.ndarray:
     """Exact max-log soft MAP along the last axis of (..., n) LLRs, over any small code.
 
     Returns the code-position LLRs (..., n), by exhaustive correlation against
-    all 2^k codewords.
+    all 2^k codewords.  The scores are reduced a block of at most
+    SCORE_BLOCK_SIZE >> k fibers at a time: the block is copied
+    codeword-major, (2^k, fibers), and position j takes the max over its rows
+    of the codewords with a 0 at j minus the max over those with a 1.
     """
     signs = _codebook(code)
     block, restore = fiber_block(llrs, code.n)
     pre, n, post = block.shape
     scores = _correlations(block, signs)
     out = np.empty(block.shape)
-    for j, zero in enumerate(signs.T > 0.0):
-        out[:, j] = scores[..., zero].max(axis=-1) - scores[..., ~zero].max(axis=-1)
+    fibers = SCORE_BLOCK_SIZE >> code.k
+    step_pre, step_post = max(1, fibers // post), min(post, fibers)
+    for p in range(0, pre, step_pre):
+        for q in range(0, post, step_post):
+            major = np.moveaxis(scores[p : p + step_pre, q : q + step_post], -1, 0).copy()
+            for j, (zero, one) in enumerate(_column_splits(code)):
+                out[p : p + step_pre, j, q : q + step_post] = (
+                    major[zero].max(axis=0) - major[one].max(axis=0))
     if counter is not None:
         rows, count = pre * post, len(signs)
         counter.add_sub += rows * (count * (n - 1) + n)

@@ -45,3 +45,12 @@ def exhaustive_info_llrs(block, code):
     bits = rm_core.binary_words(code.k).T == 0  # score j belongs to the binary word of j
     return np.stack([scores[..., zero].max(axis=-1) - scores[..., ~zero].max(axis=-1)
                      for zero in bits], axis=-1)
+
+
+def exhaustive_code_llrs(block, code):
+    """Max-log LLRs of the n code positions of each LLR row: for each position,
+    the best score over the codewords with a 0 there minus the best with a 1,
+    each gathered through a boolean mask of the codeword column."""
+    scores, words = exhaustive_scores(block, code)
+    return np.stack([scores[..., zero].max(axis=-1) - scores[..., ~zero].max(axis=-1)
+                     for zero in words.T == 0], axis=-1)

@@ -5,11 +5,11 @@ m = 1..12, on 1-D, 2-D and 3-D inputs and on `np.moveaxis` views of every
 axis of 2- and 3-axis tensors, with random LLRs, exact zeros, exact ties and
 magnitudes near 1e150.  Hypothesis draws the cases derandomized, so every
 run checks the same examples.  The brute-force kernels and the encoder take
-the same inputs and are checked against row-by-row calls.  The product
-decoder is checked bit for bit
-against the row-by-row decoder it replaced (index-set max-log, min-sum over
-generator column supports, a copy of each axis' fibers), kept here as a
-reference.
+the same inputs and are checked against row-by-row calls, and the soft-MAP
+against a mask-gather oracle on fiber counts around its score blocks.  The
+product decoder is checked bit for bit against the row-by-row decoder it
+replaced (index-set max-log, min-sum over generator column supports, a copy
+of each axis' fibers), kept here as a reference.
 """
 
 import numpy as np
@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exhaustive_code_llrs
 from rmproduct import rm_core
 from rmproduct.fht import fht, fht_ml_decode_batch
+from rmproduct.ops import OpCounter
 from rmproduct.product import (
     BF_MAP,
     product_code_from_descriptor,
@@ -26,6 +28,7 @@ from rmproduct.product import (
     product_encode_batch,
 )
 from rmproduct.soft_fht import (
+    SCORE_BLOCK_SIZE,
     brute_force_ml_decode_batch,
     brute_force_soft_map_batch,
     encoded_bit_llrs_batch,
@@ -241,6 +244,27 @@ def test_brute_force_and_encode_take_any_leading_shape(m, r, case):
         scores = rows @ (1.0 - 2.0 * codebook).T  # exact: ties stay ties
         assert np.array_equal(decided.reshape(-1, code.n),
                               1.0 - 2.0 * codebook[np.argmax(scores, axis=1)])
+
+
+@pytest.mark.parametrize("m, r", [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3)])
+def test_soft_map_matches_the_mask_gather_oracle_across_score_blocks(m, r):
+    code = rm_core.build_rm_code(m, r)
+    words, block = 1 << code.k, SCORE_BLOCK_SIZE >> code.k  # block: fibers per score block
+    rng = np.random.default_rng(100 * m + r)
+    for count in (1, block - 1, block, block + 1, 3 * block + 5):
+        llrs = rng.normal(size=(count, code.n)) * 3.0
+        lead = next(d for d in (3, 5, 7, 2, 1) if count % d == 0)  # 'view3' leading axis
+        for layout in LAYOUTS:
+            fibers = _lay_out(llrs, layout, (lead, count // lead))
+            counter = OpCounter()
+            fast = _as_fibers(brute_force_soft_map_batch(fibers, code, counter), layout)
+            # the oracle gets as many rows, so its product rounds the same way
+            expected = exhaustive_code_llrs(llrs[: len(fast)], code)
+            assert np.array_equal(fast, expected), (count, layout)
+            # the modeled work of the exhaustive search, independent of the blocks
+            assert counter.add_sub == len(fast) * (words * (code.n - 1) + code.n)
+            assert counter.compare == len(fast) * code.n * (words - 2)
+            assert counter.depth == m + code.k + 1
 
 
 # -- the row-by-row decoder that the in-place kernels replaced ----------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,20 @@ def test_brute_force_handles_second_order_code():
     # hard thresholds of the coded LLRs reproduce the exhaustive ML word
     best = brute_force_ml_decode_batch(llr[None, :], code)[0]
     assert np.array_equal(coded < 0, best < 0)
+
+
+def test_soft_map_keeps_one_score_block_beside_the_scores():
+    code = rm_core.build_rm_code(3, 2)  # k = 7: 128 codewords
+    llrs = np.random.default_rng(67).normal(size=(16384, code.n))
+    brute_force_soft_map_batch(llrs[:2], code)  # builds the cached codebook and index sets
+    tracemalloc.start()  # numpy reports its data buffers to tracemalloc
+    try:
+        brute_force_soft_map_batch(llrs, code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scores = llrs.shape[0] * (1 << code.k) * 8
+    assert peak < scores + 4 * 2**20, peak - scores
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
