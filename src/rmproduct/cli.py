@@ -49,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "Reed-Muller codes over the BPSK/AWGN channel.",
     )
     parser.add_argument("--code", required=True,
-                        help="product descriptor, e.g. rm(6,1)xrm(2,1); append :bfmap "
-                             "to a component for the exhaustive soft-MAP decoder")
+                        help="product descriptor, e.g. rm(6,1)xrm(2,1); an order-1 component "
+                             "decodes with the soft-FHT decoder unless :bfmap follows it, any "
+                             "other order with the exhaustive soft-MAP decoder")
     parser.add_argument("--decoder", choices=("soft", "hard"),
                         help="component decoding mode (default: %(default)s)")
     parser.add_argument("--iterations", type=int, metavar="I",
@@ -87,8 +88,8 @@ def main(argv=None) -> int:
         config = sim.SimConfig(**settings)
         points = sim.run_sweep(config)
         sim.emit(points, config)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

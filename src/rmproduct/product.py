@@ -73,10 +73,11 @@ class ProductCode:
 def product_code_from_descriptor(text: str) -> ProductCode:
     """Build a product code from 'rm(m1,r1)xrm(m2,r2)...'.
 
-    A component decodes with the soft-FHT decoder, which needs order 1, or
-    with the exhaustive soft-MAP decoder when ':bfmap' follows it, which
-    needs component dimension <= 16.  Every part is parsed before any code
-    is built.
+    A component's order picks its decoder: order 1 decodes with the soft-FHT
+    decoder, and any other order with the exhaustive soft-MAP decoder, which
+    needs component dimension <= 16.  ':bfmap' after an order-1 component
+    chooses the exhaustive decoder for it too.  Every part is parsed before
+    any code is built.
     """
     parts = re.split(r"\s*[xX]\s*", text.strip())
     if not all(parts):
@@ -87,15 +88,11 @@ def product_code_from_descriptor(text: str) -> ProductCode:
         suffix = suffix.strip().lower()
         if sep and suffix != BF_MAP:
             raise ValueError(f"unknown decoder suffix {suffix!r} in {part!r}")
-        specs.append(rm_core.parse_rm_descriptor(base) + (BF_MAP if sep else SOFT_FHT,))
+        m, r = rm_core.parse_rm_descriptor(base)
+        specs.append((m, r, BF_MAP if sep or r != 1 else SOFT_FHT))
     components = []
     for m, r, kind in specs:
         code = rm_core.build_rm_code(m, r)
-        if kind == SOFT_FHT and r != 1:
-            raise ValueError(
-                f"{code.descriptor}: soft-FHT component decoding needs order 1; "
-                "append :bfmap for the exhaustive soft-MAP decoder"
-            )
         if kind == BF_MAP:
             soft_fht._codebook(code)  # checks the size cap; a decode would build it anyway
         components.append(Component(code=code, decoder=kind))

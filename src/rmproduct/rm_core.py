@@ -2,14 +2,16 @@
 
 An RM(m, r) code has blocklength n = 2^m and dimension k = sum_{i<=r} C(m, i).
 Its generator is the set of rows of the m-th Kronecker power of [[1,0],[1,1]]
-whose Hamming weight is at least 2^(m-r), stored here in a canonical order:
-the all-one row first, then the m weight-n/2 rows whose columns spell the
-numbers 0..n-1 in binary (most significant bit in the first of these rows),
-then for each degree i >= 2 the element-wise products of the i-element subsets
-of those rows, subsets in lexicographic order.  The canonical order is what
-makes the codeword/Hadamard-column correspondence used by the FHT decoders
-deterministic; construction verifies it spans the same row space as the
-weight-selected rows.
+whose Hamming weight is at least 2^(m-r), stored here in a canonical order by
+one rule.  Variable b (0 <= b < m) is bit m-1-b of a position x, most
+significant first, and point(S) = sum_{b in S} 2^(m-1-b) is the position whose
+set variables are exactly S.  Row S, the monomial of a set S of at most r
+variables, is 1 exactly at the positions x whose bits include point(S).  The
+sets S run by degree, then lexicographically: the empty set's all-one row comes
+first, and the m first-order rows spell the numbers 0..n-1 in binary.  The
+canonical order is what makes the codeword/Hadamard-column correspondence used
+by the FHT decoders deterministic; construction verifies it spans the same row
+space as the weight-selected rows.
 """
 
 import math
@@ -78,11 +80,6 @@ def parse_rm_descriptor(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def first_order_rows(m: int) -> np.ndarray:
-    """The m weight-n/2 canonical rows: column x is the binary word of x, MSB first."""
-    return np.ascontiguousarray(binary_words(m).T)
-
-
 def _weight_selected_rows(m: int, r: int) -> np.ndarray:
     """Rows of the Kronecker power with weight >= 2^(m-r), in matrix row order.
 
@@ -97,19 +94,15 @@ def _weight_selected_rows(m: int, r: int) -> np.ndarray:
 
 
 def build_rm_code(m: int, r: int) -> RmCode:
-    """Construct RM(m, r) with the canonical generator row order."""
+    """Construct RM(m, r) with the canonical generator: row S is (x & point(S)) == point(S)."""
     _check_order(m, r)
     if m > MAX_M:
         raise SizeLimitError(f"m={m} exceeds cap {MAX_M}")
     n = 1 << m
-    blocks = [np.ones((1, n), dtype=np.uint8)]
-    if r >= 1:
-        g1 = first_order_rows(m)
-        blocks.append(g1)
-        for degree in range(2, r + 1):
-            rows = [g1[list(subset)].prod(axis=0) for subset in combinations(range(m), degree)]
-            blocks.append(np.array(rows, dtype=np.uint8))
-    generator = np.concatenate(blocks, axis=0)
+    x = np.arange(n)
+    points = [sum(1 << (m - 1 - b) for b in subset)
+              for degree in range(r + 1) for subset in combinations(range(m), degree)]
+    generator = np.array([(x & p) == p for p in points], dtype=np.uint8)
     generator.setflags(write=False)  # shared read-only across workers
     k = generator.shape[0]
     assert k == rm_dimension(m, r)

@@ -1,5 +1,7 @@
 """Independent references that the tests check the library against."""
 
+from itertools import combinations
+
 import numpy as np
 
 from rmproduct import rm_core
@@ -16,6 +18,21 @@ def kronecker_power(m: int) -> np.ndarray:
     for _ in range(m):
         power = np.kron(power, base)
     return power
+
+
+def product_rows_generator(m: int, r: int) -> np.ndarray:
+    """The canonical RM(m, r) generator built row block by row block: the all-one
+    row, the m first-order rows whose columns spell 0..n-1 in binary (MSB in the
+    first), then for each degree i >= 2 the element-wise products of the
+    i-element subsets of the first-order rows, subsets in lexicographic order."""
+    blocks = [np.ones((1, 1 << m), dtype=np.uint8)]
+    if r >= 1:
+        g1 = np.ascontiguousarray(rm_core.binary_words(m).T)
+        blocks.append(g1)
+        for degree in range(2, r + 1):
+            rows = [g1[list(subset)].prod(axis=0) for subset in combinations(range(m), degree)]
+            blocks.append(np.array(rows, dtype=np.uint8))
+    return np.concatenate(blocks, axis=0)
 
 
 def min_nonzero_weight(codewords) -> int:

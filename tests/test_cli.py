@@ -53,7 +53,7 @@ def test_missing_required_flags_exit_nonzero(capsys):
 
 
 def test_bad_descriptor_reports_error(capsys):
-    code = cli.main(["--code", "rm(3,2)xrm(2,1)", "--ebno", "1:1:1",
+    code = cli.main(["--code", "rm(5,3)xrm(2,1)", "--ebno", "1:1:1",
                      "--min-errors", "1", "--max-frames", "10"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -108,6 +108,19 @@ def test_unwritable_output_path_reports_error(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert cli.main(FAST_ARGS + ["--out", str(missing_dir)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_memory_reports_error(monkeypatch, tmp_path, capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sim, "_run_chunk", out_of_memory)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(FAST_ARGS + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "MemoryError" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_workers_auto_accepted(capsys):

@@ -283,7 +283,7 @@ def _rows_fht(rows):
 def _rows_soft(rows, code):
     spectra = _rows_fht(rows)
     m, n = code.m, code.n
-    ones = rm_core.first_order_rows(m).astype(bool)
+    ones = code.generator[1 : m + 1].astype(bool)
     info = np.empty((rows.shape[0], m + 1))
     info[:, 0] = spectra.max(axis=1) - (-spectra).max(axis=1)
     magnitudes = np.abs(spectra)

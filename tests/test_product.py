@@ -4,6 +4,7 @@ import pytest
 from oracles import min_nonzero_weight
 from rmproduct import gf2, rm_core
 from rmproduct.fht import fht_ml_decode_batch
+from rmproduct.ops import OpCounter
 from rmproduct.product import (
     BF_MAP,
     SOFT_FHT,
@@ -72,14 +73,38 @@ def test_descriptor_round_trip():
     assert (again.n_t, again.k_t) == (code.n_t, code.k_t)
 
 
-def test_higher_order_component_needs_bfmap():
-    with pytest.raises(ValueError, match="bfmap"):
-        product_code_from_descriptor("rm(11,1)xrm(3,2)")
+def test_higher_order_component_implies_bfmap():
+    for descriptor in ("rm(3,2)", "rm(3,0)"):
+        code = product_code_from_descriptor(descriptor)
+        assert code.components[0].decoder == BF_MAP
+        assert code.descriptor == descriptor + ":bfmap"
+    assert components_of("rm(11,1)xrm(3,2)") == components_of("rm(11,1)xrm(3,2):bfmap")
+    assert components_of("rm(4,1)xrm(4,1):bfmap") == [("rm(4,1)", SOFT_FHT), ("rm(4,1)", BF_MAP)]
 
 
-def test_bfmap_component_dimension_cap():
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_implied_bfmap_decodes_like_the_suffix(mode):
+    implied = product_code_from_descriptor("rm(4,1)xrm(3,2)")
+    spelled = product_code_from_descriptor("rm(4,1)xrm(3,2):bfmap")
+    rng = np.random.default_rng(12)
+    sent = product_encode_batch(spelled, rng.integers(0, 2, (64, spelled.k_t), dtype=np.uint8))
+    received = 1.0 - 2.0 * sent + rng.normal(0.0, 0.9, sent.shape)
+
+    def decode(code):
+        counter = OpCounter()
+        return product_decode_batch(code, received, 0.81, 3, mode, counter) + (counter,)
+
+    (decided, llrs, counter), (expected_decided, expected_llrs, expected_counter) = map(
+        decode, (implied, spelled))
+    assert np.array_equal(decided, expected_decided)
+    assert np.array_equal(llrs, expected_llrs)
+    assert counter == expected_counter
+
+
+@pytest.mark.parametrize("descriptor", ["rm(5,3)", "rm(5,3):bfmap"])
+def test_bfmap_component_dimension_cap(descriptor):
     with pytest.raises(rm_core.SizeLimitError, match=r"rm\(5,3\)"):
-        product_code_from_descriptor("rm(5,3):bfmap")  # k = 26 > 16
+        product_code_from_descriptor(descriptor)  # k = 26 > 16
 
 
 def test_encode_zero_maps_to_zero():

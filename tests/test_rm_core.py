@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import kronecker_power, min_nonzero_weight
+from oracles import kronecker_power, min_nonzero_weight, product_rows_generator
 from rmproduct import gf2, rm_core
 
 
@@ -45,6 +45,15 @@ def test_canonical_generator_small():
         [0, 0, 1, 1],
         [0, 1, 0, 1],
     ]
+
+
+def test_canonical_generator_matches_the_row_products():
+    pairs = [(m, r) for m in range(11) for r in range(m + 1)]
+    pairs += [(m, r) for m in range(11, 17) for r in range(3)]
+    for m, r in pairs:
+        generator = rm_core.build_rm_code(m, r).generator
+        assert generator.dtype == np.uint8
+        assert np.array_equal(generator, product_rows_generator(m, r)), (m, r)
 
 
 def test_first_row_is_all_one():
