@@ -30,6 +30,8 @@ BF_MAP = "bfmap"
 SOFT = "soft"
 HARD = "hard"
 
+MAX_PRODUCT_N = 1 << 16  # a 256-frame chunk's float64 LLR block stays within 128 MiB
+
 
 @dataclass(frozen=True)
 class Component:
@@ -40,7 +42,7 @@ class Component:
 
 
 class ProductCode:
-    """Ordered product C1 x ... x CQ with multiplied parameters."""
+    """Ordered product C1 x ... x CQ with multiplied parameters, of length n_t <= MAX_PRODUCT_N."""
 
     def __init__(self, components: list[Component]):
         if not components:
@@ -57,6 +59,9 @@ class ProductCode:
         # component 1 encodes/decodes the last tensor axis
         self.tensor_shape = tuple(c.n for c in reversed(codes))
         self.info_shape = tuple(c.k for c in reversed(codes))
+        if self.n_t > MAX_PRODUCT_N:
+            raise rm_core.SizeLimitError(
+                f"{self.descriptor}: a product caps at n_t <= {MAX_PRODUCT_N}, got n_t={self.n_t}")
 
     @property
     def descriptor(self) -> str:

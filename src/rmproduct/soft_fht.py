@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rm_core
 from .channel import bpsk_modulate
-from .fht import fht, fiber_block, prefix_butterfly
+from .fht import fht, fiber_block, hard_decode, prefix_butterfly
 
 MAX_BF_DIM = 16
 SCORE_BLOCK_SIZE = 1 << 17  # scores per codeword-major block copy (1 MiB): 1,024 fibers at k = 7
@@ -126,16 +126,26 @@ def brute_force_soft_map_batch(llrs, code, counter=None) -> np.ndarray:
     return restore(out)
 
 
+def _ml_kernel(block, code):
+    """Exhaustive hard ML codewords of a (pre, n, post) block, ties to the lowest codeword index."""
+    signs = _codebook(code)
+    best = np.argmax(_correlations(block, signs), axis=-1)
+    return signs[best[:, None, :], np.arange(code.n)[:, None]]  # (pre, n, post)
+
+
 def brute_force_ml_decode_batch(llrs, code, counter=None) -> np.ndarray:
     """Exhaustive hard ML along the last axis of (..., n) LLRs, over any small
-    code (ties to the lowest codeword index); returns the +-1 codewords (..., n)."""
-    signs = _codebook(code)
-    block, restore = fiber_block(llrs, code.n)
-    pre, n, post = block.shape
-    best = np.argmax(_correlations(block, signs), axis=-1)
+    code (ties to the lowest codeword index); returns the +-1 codewords (..., n).
+
+    A call whose entries are all +-1 on a code with 2^(n+k) <= 2^21 (every
+    rm(2,r) and rm(3,r), rm(4,0) and rm(4,1)) is served from a table of these
+    decisions on all 2^n +-1 words (see `fht.hard_decode`); it counts the
+    operations of the exhaustive search all the same.
+    """
+    decided = hard_decode(llrs, code, _ml_kernel)
     if counter is not None:
-        rows, count = pre * post, len(signs)
+        rows, count, n = decided.size // code.n, 1 << code.k, code.n
         counter.add_sub += rows * count * (n - 1)
         counter.compare += rows * (count - 1)
         counter.depth += (n.bit_length() - 1) + code.k
-    return restore(signs[best[:, None, :], np.arange(n)[:, None]])  # (pre, n, post)
+    return decided

@@ -7,10 +7,15 @@ magnitudes near 1e150.  Hypothesis draws the cases derandomized, so every
 run checks the same examples.  The brute-force kernels and the encoder take
 the same inputs and are checked against row-by-row calls, and the soft-MAP
 against a mask-gather oracle on fiber counts around its score blocks.  The
+hard decoders serve +-1 fibers of small codes from tables of their own
+decisions; on all 2^n +-1 words, in every layout, the table answers are
+checked against the kernels' answers on the same words halved.  The
 product decoder is checked bit for bit against the row-by-row decoder it
 replaced (index-set max-log, min-sum over generator column supports, a copy
 of each axis' fibers), kept here as a reference.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -35,6 +40,8 @@ from rmproduct.soft_fht import (
     info_bit_llrs_batch,
 )
 from test_acceptance import MENU_CODES
+
+fht_module = importlib.import_module("rmproduct.fht")  # the package's `fht` is the transform
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 
@@ -198,6 +205,51 @@ def test_hard_ml_matches_dense_argmax(m, case):
         got = _as_fibers(fht_ml_decode_batch(_lay_out(llrs, layout, shape),
                                              rm_core.build_rm_code(m, 1)), layout)
         assert np.array_equal(got, 1.0 - 2.0 * codewords[: len(got)]), layout
+
+
+def _table_lookups():
+    info = fht_module._hard_table.cache_info()
+    return info.hits + info.misses
+
+
+def _pm1_words(n):
+    """All 2^n +-1 words of length n; word i is -1 at the set bits of i."""
+    return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+
+
+@pytest.mark.parametrize("decoder, m, r", [
+    (fht_ml_decode_batch, 1, 1),
+    (fht_ml_decode_batch, 2, 1),
+    (fht_ml_decode_batch, 3, 1),
+    (fht_ml_decode_batch, 4, 1),
+    (brute_force_ml_decode_batch, 3, 1),
+    (brute_force_ml_decode_batch, 3, 2),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_hard_decoders_serve_pm1_words_as_their_kernel_decides_them(decoder, m, r):
+    # +-1 input is served from a table; halved, the same words take the kernel
+    # path, and halving is exact, so every decision and tie must agree
+    code = rm_core.build_rm_code(m, r)
+    words = _pm1_words(code.n)
+    lookups = _table_lookups()
+    for layout in LAYOUTS:
+        fibers = _lay_out(words, layout, (2, len(words) // 2))
+        assert np.array_equal(decoder(fibers, code), decoder(0.5 * fibers, code)), layout
+    assert _table_lookups() == lookups + len(LAYOUTS)  # one lookup a layout: halved, the kernel
+    # a block that is +-1 only in its first fiber takes the kernel; even
+    # integers keep every sum exact
+    llrs = 2.0 * np.random.default_rng(m).integers(-3, 4, size=words.shape)
+    assert np.array_equal(decoder(np.concatenate((words[:1], llrs)), code)[1:], decoder(llrs, code))
+
+
+def test_pm1_words_of_a_code_too_large_to_tabulate_decode_exhaustively():
+    code = rm_core.build_rm_code(4, 2)  # 2^(n+k) = 2^27 > 2^21: no table
+    words = _pm1_words(code.n)[np.random.default_rng(42).choice(1 << code.n, 512, replace=False)]
+    lookups = _table_lookups()
+    decided = brute_force_ml_decode_batch(words, code)
+    assert _table_lookups() == lookups
+    codebook = 1.0 - 2.0 * rm_core.encode_batch(code, rm_core.binary_words(code.k))
+    assert np.array_equal(decided, codebook[np.argmax(words @ codebook.T, axis=1)])  # exact scores
+    assert np.array_equal(decided, brute_force_ml_decode_batch(0.5 * words, code))
 
 
 @pytest.mark.parametrize("descriptor", MENU_CODES)

@@ -101,6 +101,20 @@ def test_implied_bfmap_decodes_like_the_suffix(mode):
     assert counter == expected_counter
 
 
+@pytest.mark.parametrize("descriptor", ["rm(3,1)xrm(3,1)xrm(3,1)", "rm(4,1)xrm(3,2):bfmap"])
+def test_hard_operation_counts_do_not_depend_on_the_input(descriptor):
+    # with sigma2 = 2 the channel LLRs of bpsk codewords are +-1, so every
+    # component call is served from its table; zero LLRs take the kernels
+    code = product_code_from_descriptor(descriptor)
+    sent = product_encode_batch(code, np.random.default_rng(5).integers(
+        0, 2, (16, code.k_t), dtype=np.uint8))
+    counters = OpCounter(), OpCounter()
+    for received, counter in zip((np.zeros(sent.shape), 1.0 - 2.0 * sent), counters):
+        product_decode_batch(code, received, 2.0, 3, "hard", counter)
+    assert counters[0] == counters[1]
+    assert counters[0].total() > 0
+
+
 @pytest.mark.parametrize("descriptor", ["rm(5,3)", "rm(5,3):bfmap"])
 def test_bfmap_component_dimension_cap(descriptor):
     with pytest.raises(rm_core.SizeLimitError, match=r"rm\(5,3\)"):

@@ -6,7 +6,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from rmproduct import product, sim
+from rmproduct import product, rm_core, sim
 
 
 def quick_point(**overrides):
@@ -172,6 +172,12 @@ def test_config_validation():
         sim.SimConfig(code="rm(2,1)", ebno_dbs=())
     with pytest.raises(TypeError, match="ebno_dbs"):
         sim.SimConfig(code="rm(2,1)")
+
+
+def test_a_product_longer_than_the_cap_is_rejected_when_the_config_builds_it():
+    sim.SimConfig(code="rm(8,1)xrm(8,1)", ebno_dbs=(0.0,))  # n_t = 2^16, at the cap
+    with pytest.raises(rm_core.SizeLimitError, match=r"rm\(14,1\)xrm\(14,1\).*n_t=268435456"):
+        sim.SimConfig(code="rm(14,1)xrm(14,1)", ebno_dbs=(0.0,))  # 2 GiB of LLRs per frame
 
 
 def test_run_point_accepts_prebuilt_code():
