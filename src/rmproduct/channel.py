@@ -11,11 +11,11 @@ import math
 import numpy as np
 
 
-def bpsk_modulate(bits) -> np.ndarray:
-    """Map bits {0,1} to symbols {+1,-1} as 1 - 2c, in place on one float64 copy
-    (never on the input), since arithmetic into fresh temporaries is slower."""
-    symbols = np.array(bits, dtype=np.float64)
-    symbols *= -2.0
+def bpsk_modulate(bits, out=None) -> np.ndarray:
+    """Map bits {0,1} to symbols {+1,-1} as 1 - 2c into one float64 array,
+    `out` if given (never the input), since arithmetic into fresh
+    temporaries is slower."""
+    symbols = np.multiply(bits, -2.0, out=out, dtype=np.float64)
     symbols += 1.0
     return symbols
 

@@ -1,8 +1,12 @@
 """Fast Walsh-Hadamard transform and hard ML decoding of first-order RM codes.
 
 Every component kernel (here and in `soft_fht`) views its (..., n) input as a
-(pre, n, post) block laid out as it sits in memory and returns float64 in that
-layout, so product-tensor fibers are decoded in place along any axis.
+(pre, n, post) block laid out as it sits in memory and writes float64 in that
+layout: into `out=` if given, else into a fresh array that the caller owns.
+A component decoder's `out` may be its input itself, so product-tensor fibers
+are decoded in place along any axis.  Full-size work arrays come from
+`workspace`, one set per thread and size, so a steady-state decode faults no
+work array in.
 
 In hard product decoding every component call after the first sees +-1
 fibers, the codewords the previous axis decided.  Both hard decoders (here
@@ -11,6 +15,7 @@ own decisions on all 2^n +-1 words (`hard_decode`).
 """
 
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -21,12 +26,34 @@ MAX_TABLE_BITS = 21  # a hard decoder is tabulated on +-1 words when 2^(n+k) <= 
 TABLE_BLOCK_SIZE = 1 << 17  # entries of the largest per-word array in one table-build block
 
 
+@lru_cache(maxsize=4)
+def _workspace(size, thread):
+    return tuple(np.empty(size) for _ in range(3))
+
+
+def workspace(size):
+    """This thread's three flat float64 work arrays of `size` elements, cached
+    for the last few (size, thread) pairs.  Each nesting level owns one:
+    [0] `product_decode_batch`'s LLR tensor, [1] a component decoder's spectra
+    (and the soft decoder's info LLRs), [2] a step kernel's scratch (the FHT's
+    ping-pong partner, |S|, the min-sum magnitudes and signs, the hard
+    decoders' bits).  A hard decoder's +-1 check borrows [1] and [2] before
+    its kernel runs.  Keying by thread keeps concurrent decodes apart, as
+    numpy releases the GIL.
+    """
+    return _workspace(size, threading.get_ident())
+
+
 def fiber_block(values, length=None):
     """The last axis of `values` as the middle axis of a (pre, n, post) block.
 
     Axes go into memory order, so for any axis permutation of a C-ordered
-    array the reshape is a view.  Also returns `restore`, which lays a
-    (pre, j, post) result out as (..., j) in the input's axis order.
+    array the reshape is a view.  Also returns `target(j, out=None,
+    buffer=None)`, the (pre, j, post) block a kernel writes and the (..., j)
+    array it returns in the input's axis order: `out` seen as that block (a
+    float64 array of the input's leading shape that takes the same reshape as
+    a view, such as the input itself), else the head of the flat array
+    `buffer`, else a fresh C-ordered block.
     """
     a = np.asarray(values, dtype=np.float64)
     if length is not None and a.shape[-1] != length:
@@ -36,20 +63,33 @@ def fiber_block(values, length=None):
     perm = order[:place] + [a.ndim - 1] + order[place:]
     moved = a.transpose(perm)
     outer, inner = moved.shape[:place], moved.shape[place + 1:]
-    block = moved.reshape(math.prod(outer), a.shape[-1], math.prod(inner))
+    pre, post = math.prod(outer), math.prod(inner)
+    block = moved.reshape(pre, a.shape[-1], post)
     inverse = np.argsort(perm)
-    return block, lambda result: result.reshape(outer + result.shape[1:2] + inner).transpose(inverse)
+
+    def target(j, out=None, buffer=None):
+        if out is not None:
+            if out.dtype != np.float64 or out.shape != a.shape[:-1] + (j,):
+                raise ValueError(f"out must be float64 of shape {a.shape[:-1] + (j,)}, "
+                                 f"got {out.dtype} {out.shape}")
+            return out.transpose(perm).reshape((pre, j, post), copy=False), out
+        shape = (pre, j, post)
+        written = np.empty(shape) if buffer is None else buffer[: math.prod(shape)].reshape(shape)
+        return written, written.reshape(outer + (j,) + inner).transpose(inverse)
+
+    return block, target
 
 
-def prefix_butterfly(op, first, rows):
-    """Re-expand (pre, 1, post) `first` and (pre, m, post) `rows` to (pre, 2^m, post).
+def prefix_butterfly(op, first, rows, out=None):
+    """Re-expand (pre, 1, post) `first` and (pre, m, post) `rows` to (pre, 2^m, post),
+    into `out` if given, else into a fresh array in the dtype of `first`.
 
-    Each row, the last one first, doubles the prefix to op(prefix, row) in the
-    dtype of `first`, so row b feeds the positions with bit 2^(m-1-b) set, as
-    info bit b+1 of RM(m, 1).
+    Each row, the last one first, doubles the prefix to op(prefix, row), so
+    row b feeds the positions with bit 2^(m-1-b) set, as info bit b+1 of RM(m, 1).
     """
     pre, m, post = rows.shape
-    out = np.empty((pre, 1 << m, post), dtype=first.dtype)
+    if out is None:
+        out = np.empty((pre, 1 << m, post), dtype=first.dtype)
     out[:, :1] = first
     for b in range(m - 1, -1, -1):
         width = 1 << (m - 1 - b)
@@ -57,30 +97,36 @@ def prefix_butterfly(op, first, rows):
     return out
 
 
-def fht(values, counter=None):
+def fht(values, counter=None, out=None):
     """Transform along the last axis by the Sylvester matrix [[1,1],[1,-1]]^(kron m).
 
     log2(n) butterfly stages, each doing exactly n additions/subtractions per
     fiber; applying it twice returns n times the input.  Does not mutate the
-    input; returns a float64 array of the same shape.
+    input; returns a float64 array of the same shape, `out` if given (it must
+    not overlap the input).  The stages alternate between the result and a
+    workspace partner, so that the last one lands in the result.
     """
-    block, restore = fiber_block(values)
+    block, target = fiber_block(values)
     pre, n, post = block.shape
     if n == 0 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
     m = n.bit_length() - 1
-    buffers = [np.empty(block.shape) for _ in range(min(m, 2))]  # C-ordered: reshapes are views
-    source = block if m else block.copy()
+    written, result = target(n, out)
+    buffers = (written, workspace(block.size)[2].reshape(block.shape))
+    source = block
     for stage in range(m):
-        pairs = source.reshape(pre, n >> (stage + 1), 2, 1 << stage, post)
-        out = buffers[stage % 2].reshape(pairs.shape)
-        np.add(pairs[:, :, 0], pairs[:, :, 1], out=out[:, :, 0])
-        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=out[:, :, 1])
-        source = buffers[stage % 2]
+        shape = (pre, n >> (stage + 1), 2, 1 << stage, post)
+        pairs = source.reshape(shape)
+        into = buffers[(m - 1 - stage) % 2].reshape(shape, copy=False)  # splits one axis: a view
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 0])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 1])
+        source = buffers[(m - 1 - stage) % 2]
+    if not m:
+        written[...] = block
     if counter is not None:
         counter.add_sub += pre * post * n * m
         counter.depth += m
-    return restore(source)
+    return result
 
 
 def _sign_indices(block):
@@ -90,10 +136,14 @@ def _sign_indices(block):
     return ((1 << n) - 1 - np.matmul(1 << np.arange(n), block)).astype(np.intp) >> 1
 
 
-def _pm1_fibers(indices, n):
-    """The (pre, n, post) +-1 fibers of (pre, post) sign indices: -1 at the set bits."""
-    bits = (1 << np.arange(n, dtype=np.uint16))[:, None]
-    return bpsk_modulate((indices[:, None, :] & bits) != 0)
+def _pm1_fibers(indices, n, out=None):
+    """The (pre, n, post) +-1 fibers of (pre, post) uint16 sign indices, -1 at
+    the set bits, into `out` if given; the bits are formed in the workspace scratch."""
+    pre, post = indices.shape
+    bits = workspace(pre * n * post)[2].view(np.uint16)[: pre * n * post].reshape(pre, n, post)
+    np.right_shift(indices[:, None, :], np.arange(n, dtype=np.uint16)[:, None], out=bits)
+    bits &= 1
+    return bpsk_modulate(bits, out)
 
 
 @lru_cache(maxsize=None)
@@ -108,54 +158,75 @@ def _hard_table(code, kernel):
     table = np.empty(words, dtype=np.uint16)  # n <= 16 whenever a table is built
     step = TABLE_BLOCK_SIZE >> max(code.m, code.k)
     for start in range(0, words, step):
-        index = np.arange(start, min(words, start + step))[:, None]  # (words, post = 1)
-        table[start : start + step] = _sign_indices(kernel(_pm1_fibers(index, code.n), code))[:, 0]
+        index = np.arange(start, min(words, start + step), dtype=np.uint16)[:, None]  # post = 1
+        fibers = _pm1_fibers(index, code.n)
+        decided = np.empty(fibers.shape)
+        kernel(fibers, code, decided)
+        table[start : start + step] = _sign_indices(decided)[:, 0]
     table.setflags(write=False)  # shared by every caller in the process
     return table
 
 
-def hard_decode(llrs, code, kernel):
+def _all_pm1(block):
+    """Whether every entry of a (pre, n, post) block is +-1; the first fiber
+    is checked first, so channel LLRs fall through after O(n)."""
+    if not block.size or np.any(np.abs(block[0, :, 0]) != 1.0):
+        return False
+    _, spare, scratch = workspace(block.size)
+    magnitudes = np.abs(block, out=scratch.reshape(block.shape))
+    return np.equal(magnitudes, 1.0, out=spare.view(np.bool_)[: block.size].reshape(block.shape)).all()
+
+
+def hard_decode(llrs, code, kernel, out=None):
     """Hard decisions along the last axis of (..., n) LLRs by `kernel`, which
-    maps a (pre, n, post) fiber block to its +-1 codewords in a C-ordered block.
+    writes the +-1 codewords of a (pre, n, post) fiber block into a block
+    given as its third argument; into `out` if given (it may be `llrs`).
 
     When every entry is +-1 and 2^(n+k) <= 2^MAX_TABLE_BITS, the fibers are
     served from a table of the kernel's own decisions on all 2^n +-1 words,
-    built once per code, so every tie breaks as the kernel breaks it.  The
-    first fiber is checked first: channel LLRs fall through after O(n).
+    built once per code, so every tie breaks as the kernel breaks it.  Both
+    paths read all of the input before they write the output.
     """
-    block, restore = fiber_block(llrs, code.n)
-    if (code.n + code.k <= MAX_TABLE_BITS and block.size
-            and np.all(np.abs(block[0, :, 0]) == 1.0) and np.all(np.abs(block) == 1.0)):
-        decided = np.take(_hard_table(code, kernel), _sign_indices(block))
-        return restore(_pm1_fibers(decided, code.n))
-    return restore(kernel(block, code))
+    block, target = fiber_block(llrs, code.n)
+    written, result = target(code.n, out)
+    if code.n + code.k <= MAX_TABLE_BITS and _all_pm1(block):
+        _pm1_fibers(np.take(_hard_table(code, kernel), _sign_indices(block)), code.n, written)
+    else:
+        kernel(block, code, written)
+    return result
 
 
-def _ml_kernel(block, code):
-    """Hard ML codewords of a (pre, n, post) block: the spectrum entry of
-    largest magnitude (ties to the smallest index, zero sign treated as
-    positive) names the information word."""
-    spectra = fht(block.swapaxes(1, 2)).swapaxes(1, 2)  # (pre, n, post) again, C-ordered
-    index = np.argmax(np.abs(spectra), axis=1)
+def _ml_kernel(block, code, written):
+    """Hard ML codewords of a (pre, n, post) block, into `written`: the
+    spectrum entry of largest magnitude (ties to the smallest index, zero sign
+    treated as positive) names the information word.  The magnitudes are laid
+    out fiber-major, (pre, post, n), so that argmax reads them in place."""
+    pre, n, post = block.shape
+    _, spectra, scratch = workspace(block.size)
+    spectra = spectra.reshape(block.shape)
+    fht(block.swapaxes(1, 2), out=spectra.swapaxes(1, 2))
+    magnitudes = np.abs(spectra.swapaxes(1, 2), out=scratch.reshape(pre, post, n))
+    index = np.argmax(magnitudes, axis=2)
     peak = np.take_along_axis(spectra, index[:, None, :], axis=1)[:, 0]
-    pre, post = index.shape
     infos = np.empty((pre, code.m + 1, post), dtype=np.uint8)
     infos[:, 0] = peak < 0.0
-    infos[:, 1:] = (index[:, None] >> np.arange(code.m - 1, -1, -1)[:, None]) & 1  # MSB first
-    return bpsk_modulate(prefix_butterfly(np.bitwise_xor, infos[:, :1], infos[:, 1:]))
+    for b in range(code.m):  # MSB first
+        infos[:, b + 1] = (index >> (code.m - 1 - b)) & 1
+    bits = scratch.view(np.uint8)[: block.size].reshape(block.shape)  # over the read magnitudes
+    bpsk_modulate(prefix_butterfly(np.bitwise_xor, infos[:, :1], infos[:, 1:], bits), written)
 
 
-def fht_ml_decode_batch(llrs, code, counter=None):
+def fht_ml_decode_batch(llrs, code, counter=None, out=None):
     """Hard ML decoding along the last axis of a (..., n) LLR array.
 
     Picks the spectrum entry of largest magnitude (ties to the smallest index,
-    zero sign treated as positive); returns the +-1 codewords (..., n).  A
-    call whose entries are all +-1 on a code with 2^(n+k) <= 2^21 (rm(1,1)
-    to rm(4,1)) is served from a table of these decisions on all 2^n
-    +-1 words (see `hard_decode`); it counts the operations of the transform
-    and the search all the same.
+    zero sign treated as positive); returns the +-1 codewords (..., n), in
+    `out` if given (it may be `llrs`).  A call whose entries are all +-1 on a
+    code with 2^(n+k) <= 2^21 (rm(1,1) to rm(4,1)) is served from a table of
+    these decisions on all 2^n +-1 words (see `hard_decode`); it counts the
+    operations of the transform and the search all the same.
     """
-    decided = hard_decode(llrs, code, _ml_kernel)
+    decided = hard_decode(llrs, code, _ml_kernel, out)
     if counter is not None:
         fibers, n, m = decided.size // code.n, code.n, code.m
         counter.add_sub += fibers * n * m

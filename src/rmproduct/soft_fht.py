@@ -5,7 +5,8 @@ The SISO component decoder works in three steps along the last axis of any
 LLRs for the k = m+1 information bits from the two halves of the spectrum
 that each bit splits it into, then re-expand them to the n code positions by
 a min-sum prefix butterfly.  A brute-force soft-MAP over all 2^k codewords is
-the component decoder for small codes of order above one.
+the component decoder for small codes of order above one.  Every kernel takes
+`out=` as those in `fht` do.
 """
 
 from functools import lru_cache
@@ -14,62 +15,78 @@ import numpy as np
 
 from . import rm_core
 from .channel import bpsk_modulate
-from .fht import fht, fiber_block, hard_decode, prefix_butterfly
+from .fht import fht, fiber_block, hard_decode, prefix_butterfly, workspace
 
 MAX_BF_DIM = 16
 SCORE_BLOCK_SIZE = 1 << 17  # scores per codeword-major block copy (1 MiB): 1,024 fibers at k = 7
 
 
-def info_bit_llrs_batch(spectra, code, counter=None) -> np.ndarray:
-    """Max-log LLRs of the m+1 information bits along the last axis of (..., n) spectra.
+def info_bit_llrs_batch(spectra, code, counter=None, out=None) -> np.ndarray:
+    """Max-log LLRs of the m+1 information bits along the last axis of (..., n)
+    spectra, into `out` if given (it may overlap the spectra).
 
     The first bit weighs the best positive spectrum entry against the best
     negative one.  Bit b+1 is bit m-1-b of the spectrum index: it weighs the
-    largest magnitudes of the halves of |S|.reshape(pre, 2^b, 2, n/2^(b+1), post).
+    largest entries of the two halves of M_b, where M_0 = |S| (formed in the
+    workspace scratch) and M_(b+1) is M_b with its halves folded together by a
+    pairwise max, in place.  So about 3n entries are read per fiber, and no
+    temporary is larger than a (pre, post) row.
     """
-    block, restore = fiber_block(spectra, code.n)
+    block, target = fiber_block(spectra, code.n)
     pre, n, post = block.shape
     m = code.m
-    out = np.empty((pre, m + 1, post))
-    np.add(block.max(axis=1), block.min(axis=1), out=out[:, 0])
-    magnitudes = np.abs(block)
-    for b in range(m):  # one axis at a time, skipping size-1 axes: fast for any post
-        halves = magnitudes.reshape(pre, 1 << b, 2, n >> (b + 1), post)
-        best = halves.max(axis=1) if b else halves[:, 0]
-        best = best.max(axis=2) if b < m - 1 else best[:, :, 0]
-        np.subtract(best[:, 0], best[:, 1], out=out[:, b + 1])
+    peak, trough = block.max(axis=1), block.min(axis=1)
+    magnitudes = np.abs(block, out=workspace(block.size)[2].reshape(block.shape))
+    written, result = target(m + 1, out)  # the spectra are read: it may overlap them
+    np.add(peak, trough, out=written[:, 0])
+    for b in range(m):
+        half = n >> (b + 1)
+        low, high = magnitudes[:, :half], magnitudes[:, half : 2 * half]
+        np.max(low, axis=1, out=written[:, b + 1])
+        written[:, b + 1] -= high.max(axis=1)
+        np.maximum(low, high, out=low)
     if counter is not None:
         counter.compare += pre * post * (2 * (n - 1) + m * (n - 2))
         counter.add_sub += pre * post * (1 + m)
         counter.depth += m + 1
-    return restore(out)
+    return result
 
 
-def encoded_bit_llrs_batch(info_llrs, code, counter=None) -> np.ndarray:
-    """Min-sum LLRs of the n code positions along the last axis of (..., m+1) LLRs.
+def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarray:
+    """Min-sum LLRs of the n code positions along the last axis of (..., m+1)
+    LLRs, into `out` if given.
 
     Position x is fed by the all-one row and the row of each set bit of x, so
     from the all-one row each bit doubles the prefix with min(prefix, |L_b|)
     and sign prefix ^ (L_b < 0): n-1 mins and sign XORs per fiber, sign(0) = +1.
+    The signs are applied as a +-1 product; the magnitudes and then the +-1
+    signs live in the workspace scratch.
     """
-    block, restore = fiber_block(info_llrs, code.k)
+    block, target = fiber_block(info_llrs, code.k)
     pre, _, post = block.shape
-    magnitudes = np.abs(block)
+    scratch = workspace(pre * code.n * post)[2]
+    magnitudes = np.abs(block, out=scratch[: block.size].reshape(block.shape))
     negative = block < 0.0
-    least = prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:])
+    least, result = target(code.n, out)
+    prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:], least)
     flips = prefix_butterfly(np.logical_xor, negative[:, :1], negative[:, 1:])
-    least *= bpsk_modulate(flips)
+    least *= bpsk_modulate(flips, scratch[: least.size].reshape(least.shape))
     if counter is not None:
         counter.compare += pre * post * (code.n - 1)
         counter.sign_mult += pre * post * (code.n - 1)
         counter.depth += code.m
-    return restore(least)
+    return result
 
 
-def soft_fht_decode_batch(llrs, code, counter=None) -> np.ndarray:
-    """Full SISO pipeline along the last axis of a (..., n) LLR array."""
-    spectra = fht(llrs, counter)
-    return encoded_bit_llrs_batch(info_bit_llrs_batch(spectra, code, counter), code, counter)
+def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
+    """Full SISO pipeline along the last axis of a (..., n) LLR array, into
+    `out` if given (it may be `llrs`).  The spectra, and then the info-bit
+    LLRs over them, live in the workspace array of the component decoders."""
+    block, target = fiber_block(llrs, code.n)
+    spare = workspace(block.size)[1]
+    spectra = fht(llrs, counter, out=target(code.n, buffer=spare)[1])
+    info = info_bit_llrs_batch(spectra, code, counter, out=target(code.k, buffer=spare)[1])
+    return encoded_bit_llrs_batch(info, code, counter, out)
 
 
 @lru_cache(maxsize=None)
@@ -93,56 +110,59 @@ def _correlations(block, signs):
     """(pre, post, 2^k) correlations of a (pre, n, post) block's fibers with
     the +-1 codewords, as one (pre * post, n) @ (n, 2^k) product."""
     pre, n, post = block.shape
-    return (block.transpose(0, 2, 1).reshape(-1, n) @ signs.T).reshape(pre, post, -1)
+    return (block.transpose(0, 2, 1).reshape(-1, n) @ signs.T).reshape(pre, post, len(signs))
 
 
-def brute_force_soft_map_batch(llrs, code, counter=None) -> np.ndarray:
+def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     """Exact max-log soft MAP along the last axis of (..., n) LLRs, over any small code.
 
-    Returns the code-position LLRs (..., n), by exhaustive correlation against
-    all 2^k codewords.  The scores are reduced a block of at most
+    Returns the code-position LLRs (..., n), in `out` if given (it may be
+    `llrs`: the correlations read all of it first), by exhaustive correlation
+    against all 2^k codewords.  The scores are reduced a block of at most
     SCORE_BLOCK_SIZE >> k fibers at a time: the block is copied
     codeword-major, (2^k, fibers), and position j takes the max over its rows
     of the codewords with a 0 at j minus the max over those with a 1.
     """
     signs = _codebook(code)
-    block, restore = fiber_block(llrs, code.n)
+    block, target = fiber_block(llrs, code.n)
     pre, n, post = block.shape
     scores = _correlations(block, signs)
-    out = np.empty(block.shape)
+    written, result = target(n, out)
     fibers = SCORE_BLOCK_SIZE >> code.k
-    step_pre, step_post = max(1, fibers // post), min(post, fibers)
+    step_pre, step_post = max(1, fibers // max(1, post)), max(1, min(post, fibers))
     for p in range(0, pre, step_pre):
         for q in range(0, post, step_post):
             major = np.moveaxis(scores[p : p + step_pre, q : q + step_post], -1, 0).copy()
             for j, (zero, one) in enumerate(_column_splits(code)):
-                out[p : p + step_pre, j, q : q + step_post] = (
+                written[p : p + step_pre, j, q : q + step_post] = (
                     major[zero].max(axis=0) - major[one].max(axis=0))
     if counter is not None:
         rows, count = pre * post, len(signs)
         counter.add_sub += rows * (count * (n - 1) + n)
         counter.compare += rows * n * (count - 2)
         counter.depth += (n.bit_length() - 1) + code.k + 1
-    return restore(out)
+    return result
 
 
-def _ml_kernel(block, code):
-    """Exhaustive hard ML codewords of a (pre, n, post) block, ties to the lowest codeword index."""
+def _ml_kernel(block, code, written):
+    """Exhaustive hard ML codewords of a (pre, n, post) block, into `written`,
+    ties to the lowest codeword index."""
     signs = _codebook(code)
     best = np.argmax(_correlations(block, signs), axis=-1)
-    return signs[best[:, None, :], np.arange(code.n)[:, None]]  # (pre, n, post)
+    written[...] = signs[best[:, None, :], np.arange(code.n)[:, None]]  # (pre, n, post)
 
 
-def brute_force_ml_decode_batch(llrs, code, counter=None) -> np.ndarray:
+def brute_force_ml_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     """Exhaustive hard ML along the last axis of (..., n) LLRs, over any small
-    code (ties to the lowest codeword index); returns the +-1 codewords (..., n).
+    code (ties to the lowest codeword index); returns the +-1 codewords (..., n),
+    in `out` if given (it may be `llrs`).
 
     A call whose entries are all +-1 on a code with 2^(n+k) <= 2^21 (every
     rm(2,r) and rm(3,r), rm(4,0) and rm(4,1)) is served from a table of these
     decisions on all 2^n +-1 words (see `fht.hard_decode`); it counts the
     operations of the exhaustive search all the same.
     """
-    decided = hard_decode(llrs, code, _ml_kernel)
+    decided = hard_decode(llrs, code, _ml_kernel, out)
     if counter is not None:
         rows, count, n = decided.size // code.n, 1 << code.k, code.n
         counter.add_sub += rows * count * (n - 1)

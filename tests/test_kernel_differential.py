@@ -9,7 +9,9 @@ the same inputs and are checked against row-by-row calls, and the soft-MAP
 against a mask-gather oracle on fiber counts around its score blocks.  The
 hard decoders serve +-1 fibers of small codes from tables of their own
 decisions; on all 2^n +-1 words, in every layout, the table answers are
-checked against the kernels' answers on the same words halved.  The
+checked against the kernels' answers on the same words halved.  Every
+component decoder, on the kernel and on the table path, must write over its
+input with `out=` exactly what it returns without it, in every layout.  The
 product decoder is checked bit for bit against the row-by-row decoder it
 replaced (index-set max-log, min-sum over generator column supports, a copy
 of each axis' fibers), kept here as a reference.
@@ -38,6 +40,7 @@ from rmproduct.soft_fht import (
     brute_force_soft_map_batch,
     encoded_bit_llrs_batch,
     info_bit_llrs_batch,
+    soft_fht_decode_batch,
 )
 from test_acceptance import MENU_CODES
 
@@ -239,6 +242,46 @@ def test_hard_decoders_serve_pm1_words_as_their_kernel_decides_them(decoder, m, 
     # integers keep every sum exact
     llrs = 2.0 * np.random.default_rng(m).integers(-3, 4, size=words.shape)
     assert np.array_equal(decoder(np.concatenate((words[:1], llrs)), code)[1:], decoder(llrs, code))
+
+
+@pytest.mark.parametrize("decoder, m, r", [
+    (soft_fht_decode_batch, 1, 1),
+    (soft_fht_decode_batch, 3, 1),
+    (soft_fht_decode_batch, 6, 1),
+    (fht_ml_decode_batch, 3, 1),
+    (fht_ml_decode_batch, 5, 1),  # 2^(n+k) > 2^21: never tabulated
+    (brute_force_soft_map_batch, 3, 2),
+    (brute_force_ml_decode_batch, 3, 2),
+    (brute_force_ml_decode_batch, 4, 2),  # never tabulated
+], ids=lambda value: getattr(value, "__name__", None))
+@DIFFERENTIAL
+@given(draws())
+def test_decoders_write_over_their_input_what_they_return(decoder, m, r, case):
+    kind, shape, rng = case
+    code = rm_core.build_rm_code(m, r)
+    llrs = _values(rng, kind, (shape[0] * shape[1], code.n))
+    for layout in LAYOUTS:
+        expected = decoder(_lay_out(llrs, layout, shape), code)
+        fibers = _lay_out(llrs.copy(), layout, shape)  # '1d' and 'strided' are views of the copy
+        assert decoder(fibers, code, out=fibers) is fibers
+        assert np.array_equal(fibers, expected), layout
+
+
+@pytest.mark.parametrize("decoder, m, r", [
+    (fht_ml_decode_batch, 2, 1),
+    (fht_ml_decode_batch, 3, 1),
+    (brute_force_ml_decode_batch, 3, 2),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_the_table_path_writes_over_its_input_what_it_returns(decoder, m, r):
+    code = rm_core.build_rm_code(m, r)
+    words = _pm1_words(code.n)
+    for layout in LAYOUTS:
+        expected = decoder(_lay_out(words, layout, (2, len(words) // 2)), code)
+        lookups = _table_lookups()
+        fibers = _lay_out(words.copy(), layout, (2, len(words) // 2))
+        assert decoder(fibers, code, out=fibers) is fibers
+        assert _table_lookups() == lookups + 1  # served from the table
+        assert np.array_equal(fibers, expected), layout
 
 
 def test_pm1_words_of_a_code_too_large_to_tabulate_decode_exhaustively():

@@ -1,9 +1,14 @@
+import importlib
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import min_nonzero_weight
 from rmproduct import gf2, rm_core
-from rmproduct.fht import fht_ml_decode_batch
+from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
 from rmproduct.product import (
     BF_MAP,
@@ -12,7 +17,15 @@ from rmproduct.product import (
     product_decode_batch,
     product_encode_batch,
 )
-from rmproduct.soft_fht import soft_fht_decode_batch
+from rmproduct.soft_fht import (
+    brute_force_ml_decode_batch,
+    brute_force_soft_map_batch,
+    encoded_bit_llrs_batch,
+    info_bit_llrs_batch,
+    soft_fht_decode_batch,
+)
+
+fht_module = importlib.import_module("rmproduct.fht")  # the package's `fht` is the transform
 
 
 def codeword_set(code):
@@ -340,3 +353,92 @@ def test_generators_are_read_only():
     code = product_code_from_descriptor("rm(2,1)xrm(1,1)")
     with pytest.raises(ValueError):
         code.components[0].code.generator[0, 0] = 0
+
+
+@pytest.mark.parametrize("descriptor", ["rm(3,2)xrm(2,1)", "rm(3,1):bfmapxrm(2,1)", "rm(3,1)xrm(2,1)"])
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_decode_takes_zero_frames(descriptor, mode):
+    code = product_code_from_descriptor(descriptor)
+    decided, tensors = product_decode_batch(code, np.zeros((0, code.n_t)), 1.0, 3, mode)
+    assert decided.shape == (0, code.n_t) and decided.dtype == np.uint8
+    assert tensors.shape == (0,) + code.tensor_shape
+
+
+def _workspace_slots(*sizes):
+    return [slot for size in sizes for slot in fht_module.workspace(size)]
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_decode_outputs_stay_owned_by_the_caller(mode):
+    # the tensor is decoded in a reused workspace: what a call returns must not be it
+    code = product_code_from_descriptor("rm(3,1)xrm(3,2):bfmapxrm(2,1)")
+    rng = np.random.default_rng(131)
+    first, second = (rng.normal(size=(16, code.n_t)) for _ in range(2))  # pure noise: distinct words
+    decided, tensors = product_decode_batch(code, first, 1.0, 2, mode)
+    kept = decided.copy(), tensors.copy()
+    again = product_decode_batch(code, second, 1.0, 2, mode)
+    assert not np.array_equal(again[1], kept[1])
+    assert np.array_equal(decided, kept[0]) and np.array_equal(tensors, kept[1])
+    for result in (decided, tensors) + again:
+        assert not any(np.shares_memory(result, slot) for slot in _workspace_slots(first.size))
+
+
+def test_kernels_without_out_return_arrays_of_their_own():
+    rng = np.random.default_rng(132)
+    first, second = rm_core.build_rm_code(3, 1), rm_core.build_rm_code(3, 2)
+    llrs = rng.normal(size=(5, 8))
+    signs = np.sign(llrs)  # +-1: the table path
+    results = [fht(llrs), info_bit_llrs_batch(llrs, first), encoded_bit_llrs_batch(llrs[:, :4], first),
+               soft_fht_decode_batch(llrs, first), fht_ml_decode_batch(llrs, first),
+               fht_ml_decode_batch(signs, first), brute_force_soft_map_batch(llrs, second),
+               brute_force_ml_decode_batch(llrs, second), brute_force_ml_decode_batch(signs, second)]
+    for result in results:
+        assert not any(np.shares_memory(result, slot) for slot in _workspace_slots(20, 40))
+
+
+@pytest.mark.parametrize("descriptor, mode", [("rm(6,1)xrm(2,1)", "soft"),
+                                              ("rm(3,1)xrm(3,1)xrm(3,1)", "hard")])
+def test_a_steady_state_decode_allocates_little_beyond_its_outputs(descriptor, mode):
+    code = product_code_from_descriptor(descriptor)
+    received = np.random.default_rng(133).normal(size=(256, code.n_t)) + 1.0
+    product_decode_batch(code, received, 0.8, 3, mode)  # fills the workspace and the tables
+    tracemalloc.start()  # numpy reports its data buffers to tracemalloc
+    try:
+        product_decode_batch(code, received, 0.8, 3, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the outputs alone are 1.125 LLR tensors: the copied LLRs and one byte a decision
+    assert peak <= 3 * received.nbytes, peak / received.nbytes
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_decodes_in_threads_at_once_match_sequential_ones(mode):
+    # numpy releases the GIL, so threads that shared a workspace would corrupt each other
+    code = product_code_from_descriptor("rm(6,1)xrm(3,2):bfmapxrm(2,1)")
+    rng = np.random.default_rng(134)
+    inputs = [rng.normal(size=(64, code.n_t)) + 0.5 for _ in range(3)]  # more threads than cores
+    expected = [product_decode_batch(code, received, 0.8, 3, mode) for received in inputs]
+    start = threading.Barrier(len(inputs))
+    results = [[] for _ in inputs]
+
+    def decode(index):
+        start.wait(timeout=60)
+        for _ in range(6):
+            results[index].append(product_decode_batch(code, inputs[index], 0.8, 3, mode))
+
+    threads = [threading.Thread(target=decode, args=(index,)) for index in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, (decided, tensors) in zip(results, expected):
+        assert len(got) == 6
+        for got_decided, got_tensors in got:
+            assert np.array_equal(got_decided, decided) and np.array_equal(got_tensors, tensors)

@@ -18,7 +18,7 @@ from rmproduct.soft_fht import (
 
 def _halves(m, b):
     """Spectrum indices of the zero and the one half of information bit b+1,
-    as the info-bit kernel reshapes them: (2^b, 2, n/2^(b+1))."""
+    whose bit m-1-b is clear and set: (2^b, 2, n/2^(b+1)) reshaped."""
     x = np.arange(1 << m).reshape(1 << b, 2, (1 << m) >> (b + 1))
     return x[:, 0].ravel(), x[:, 1].ravel()
 
@@ -205,6 +205,21 @@ def test_component_decoders_return_float64_laid_out_like_the_input(decoder, orde
     assert np.array_equal(np.argsort(out.strides), np.argsort(fibers.strides))
     if decoder in (fht_ml_decode_batch, brute_force_ml_decode_batch):
         assert np.array_equal(np.abs(out), np.ones(out.shape))  # the +-1 codewords
+
+
+@pytest.mark.parametrize("lead", [(0,), (3, 0)])
+@pytest.mark.parametrize("decoder, order", [
+    (soft_fht_decode_batch, 1),
+    (fht_ml_decode_batch, 1),
+    (brute_force_soft_map_batch, 2),
+    (brute_force_ml_decode_batch, 2),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_component_decoders_take_no_fibers(decoder, order, lead):
+    code = rm_core.build_rm_code(3, order)
+    llrs = np.zeros(lead + (code.n,))
+    out = decoder(llrs, code)
+    assert out.dtype == np.float64 and out.shape == llrs.shape
+    assert decoder(llrs, code, out=llrs) is llrs
 
 
 @pytest.mark.parametrize("decoder, length, order", [
