@@ -1,7 +1,7 @@
 """Products of first-order Reed-Muller codes with iterative soft-FHT decoding."""
 
 from .channel import bpsk_modulate, ebno_db_to_sigma2, sigma2_to_snr_db
-from .fht import fht, fht_ml_decode_batch
+from .fht import fht_ml_decode_batch
 from .ops import OpCounter
 from .product import (
     ProductCode,
@@ -40,7 +40,6 @@ __all__ = [
     "ebno_db_to_sigma2",
     "encode_batch",
     "encoded_bit_llrs_batch",
-    "fht",
     "fht_ml_decode_batch",
     "info_bit_llrs_batch",
     "parse_rm_descriptor",

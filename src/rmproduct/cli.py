@@ -8,9 +8,11 @@ import sys
 
 from . import sim
 
+MAX_GRID_POINTS = 10_000
+
 
 def parse_ebno_grid(text: str) -> tuple[float, ...]:
-    """Parse 'start:stop:step' (inclusive) or a comma-separated dB list."""
+    """Parse 'start:stop:step' (inclusive, <= MAX_GRID_POINTS points) or a comma-separated dB list."""
     text = text.strip()
     if not text:
         return ()
@@ -25,10 +27,14 @@ def parse_ebno_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"Eb/N0 range needs finite numbers, got {text!r}")
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        if count < 1:
+        span = (stop - start) / step + 1e-9  # +-inf when the quotient overflows
+        if span < 0:
             raise ValueError(f"empty range {text!r}")
-        return tuple(start + i * step for i in range(count))
+        if span >= MAX_GRID_POINTS:
+            count = f"{math.floor(span) + 1:,}" if math.isfinite(span) else "over 10^308"
+            raise ValueError(f"Eb/N0 range {text!r} has {count} points; "
+                             f"at most {MAX_GRID_POINTS:,} are allowed")
+        return tuple(start + i * step for i in range(math.floor(span) + 1))
     return tuple(float(f) for f in fields)
 
 

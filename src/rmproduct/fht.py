@@ -28,18 +28,17 @@ TABLE_BLOCK_SIZE = 1 << 17  # entries of the largest per-word array in one table
 
 @lru_cache(maxsize=4)
 def _workspace(size, thread):
-    return tuple(np.empty(size) for _ in range(3))
+    return np.empty(size), np.empty(size)
 
 
 def workspace(size):
-    """This thread's three flat float64 work arrays of `size` elements, cached
+    """This thread's two flat float64 work arrays of `size` elements, cached
     for the last few (size, thread) pairs.  Each nesting level owns one:
-    [0] `product_decode_batch`'s LLR tensor, [1] a component decoder's spectra
-    (and the soft decoder's info LLRs), [2] a step kernel's scratch (the FHT's
-    ping-pong partner, |S|, the min-sum magnitudes and signs, the hard
-    decoders' bits).  A hard decoder's +-1 check borrows [1] and [2] before
-    its kernel runs.  Keying by thread keeps concurrent decodes apart, as
-    numpy releases the GIL.
+    [0] a component decoder's spectra (and the soft decoder's info LLRs),
+    [1] a step kernel's scratch (the FHT's ping-pong partner, |S|, the
+    min-sum magnitudes and signs, the hard decoders' bits).  A hard decoder's
+    +-1 check borrows both before its kernel runs.  Keying by thread keeps
+    concurrent decodes apart, as numpy releases the GIL.
     """
     return _workspace(size, threading.get_ident())
 
@@ -112,7 +111,7 @@ def fht(values, counter=None, out=None):
         raise ValueError(f"transform length must be a power of two, got {n}")
     m = n.bit_length() - 1
     written, result = target(n, out)
-    buffers = (written, workspace(block.size)[2].reshape(block.shape))
+    buffers = (written, workspace(block.size)[1].reshape(block.shape))
     source = block
     for stage in range(m):
         shape = (pre, n >> (stage + 1), 2, 1 << stage, post)
@@ -140,7 +139,7 @@ def _pm1_fibers(indices, n, out=None):
     """The (pre, n, post) +-1 fibers of (pre, post) uint16 sign indices, -1 at
     the set bits, into `out` if given; the bits are formed in the workspace scratch."""
     pre, post = indices.shape
-    bits = workspace(pre * n * post)[2].view(np.uint16)[: pre * n * post].reshape(pre, n, post)
+    bits = workspace(pre * n * post)[1].view(np.uint16)[: pre * n * post].reshape(pre, n, post)
     np.right_shift(indices[:, None, :], np.arange(n, dtype=np.uint16)[:, None], out=bits)
     bits &= 1
     return bpsk_modulate(bits, out)
@@ -172,7 +171,7 @@ def _all_pm1(block):
     is checked first, so channel LLRs fall through after O(n)."""
     if not block.size or np.any(np.abs(block[0, :, 0]) != 1.0):
         return False
-    _, spare, scratch = workspace(block.size)
+    spare, scratch = workspace(block.size)
     magnitudes = np.abs(block, out=scratch.reshape(block.shape))
     return np.equal(magnitudes, 1.0, out=spare.view(np.bool_)[: block.size].reshape(block.shape)).all()
 
@@ -202,7 +201,7 @@ def _ml_kernel(block, code, written):
     treated as positive) names the information word.  The magnitudes are laid
     out fiber-major, (pre, post, n), so that argmax reads them in place."""
     pre, n, post = block.shape
-    _, spectra, scratch = workspace(block.size)
+    spectra, scratch = workspace(block.size)
     spectra = spectra.reshape(block.shape)
     fht(block.swapaxes(1, 2), out=spectra.swapaxes(1, 2))
     magnitudes = np.abs(spectra.swapaxes(1, 2), out=scratch.reshape(pre, post, n))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rm_core, soft_fht
-from .fht import fht_ml_decode_batch, workspace
+from .fht import fht_ml_decode_batch
 from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
 SOFT_FHT = "soft-fht"
@@ -133,10 +133,10 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
     """Decode (..., n_t) received samples.
 
     Returns (hard codewords (..., n_t) uint8, final LLR tensors with shape
-    (...) + tensor_shape), both owned by the caller; the LLRs are a copy.  The
-    tensor lives in this thread's workspace for its size (`fht.workspace`).
-    Fibers along one axis are decoded as a single batch, in place on a view of
-    the tensor; axes and iterations are sequential.
+    (...) + tensor_shape), both owned by the caller; the LLRs are the tensor
+    the decoder worked in, with the frames on the smallest stride.  Fibers
+    along one axis are decoded as a single batch, in place on a view of the
+    tensor; axes and iterations are sequential.
     """
     if sigma2 <= 0:
         raise ValueError(f"noise variance must be positive, got {sigma2}")
@@ -152,11 +152,10 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
     count = received.shape[0]
     # channel LLRs 2y/sigma2, with the frames on the fastest axis: every axis'
     # kernel then runs long inner loops
-    llrs = workspace(code.n_t * count)[0].reshape(code.n_t, count)
-    np.multiply(2.0 / sigma2, received.T, out=llrs)
+    llrs = np.multiply(2.0 / sigma2, received.T, order="C")
     tensor = np.moveaxis(llrs.reshape(code.tensor_shape + (count,)), -1, 0)
     for _ in range(iterations):
         for index, comp in enumerate(code.components):
             _decode_fibers(comp, np.moveaxis(tensor, -1 - index, -1), mode, counter)
     decided = (tensor < 0.0).reshape(lead + (code.n_t,)).view(np.uint8)  # sign(0) = +1 maps to bit 0
-    return decided, tensor.copy(order="K").reshape(lead + code.tensor_shape)
+    return decided, tensor.reshape(lead + code.tensor_shape)

@@ -36,7 +36,7 @@ def info_bit_llrs_batch(spectra, code, counter=None, out=None) -> np.ndarray:
     pre, n, post = block.shape
     m = code.m
     peak, trough = block.max(axis=1), block.min(axis=1)
-    magnitudes = np.abs(block, out=workspace(block.size)[2].reshape(block.shape))
+    magnitudes = np.abs(block, out=workspace(block.size)[1].reshape(block.shape))
     written, result = target(m + 1, out)  # the spectra are read: it may overlap them
     np.add(peak, trough, out=written[:, 0])
     for b in range(m):
@@ -64,7 +64,7 @@ def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarra
     """
     block, target = fiber_block(info_llrs, code.k)
     pre, _, post = block.shape
-    scratch = workspace(pre * code.n * post)[2]
+    scratch = workspace(pre * code.n * post)[1]
     magnitudes = np.abs(block, out=scratch[: block.size].reshape(block.shape))
     negative = block < 0.0
     least, result = target(code.n, out)
@@ -83,7 +83,7 @@ def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     `out` if given (it may be `llrs`).  The spectra, and then the info-bit
     LLRs over them, live in the workspace array of the component decoders."""
     block, target = fiber_block(llrs, code.n)
-    spare = workspace(block.size)[1]
+    spare = workspace(block.size)[0]
     spectra = fht(llrs, counter, out=target(code.n, buffer=spare)[1])
     info = info_bit_llrs_batch(spectra, code, counter, out=target(code.k, buffer=spare)[1])
     return encoded_bit_llrs_batch(info, code, counter, out)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -23,9 +24,27 @@ def test_parse_ebno_comma_list():
 
 
 def test_parse_ebno_rejects_bad_specs():
-    for bad in ("1:2:0", "1:2:-1", "1:2", "1:2:3:4", "a,b", "1:0:1", "1:0.5:1"):
+    for bad in ("1:2:0", "1:2:-1", "1:2", "1:2:3:4", "a,b", "1:0:1", "1:0.5:1", "0:-1e300:1e-300"):
         with pytest.raises(ValueError):
             cli.parse_ebno_grid(bad)
+
+
+OVERSIZED_GRIDS = [("0:1e300:1e-300", "over 10^308"), ("0:1:1e-12", "1,000,000,000,001"),
+                   ("0:1:1e-7", "10,000,001"), ("0:10000:1", "10,001")]
+
+
+def test_parse_ebno_range_caps_its_points():
+    assert len(cli.parse_ebno_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+    for grid, count in OVERSIZED_GRIDS:  # rejected before the grid is built
+        with pytest.raises(ValueError, match=re.escape(f"has {count} points")):
+            cli.parse_ebno_grid(grid)
+
+
+@pytest.mark.parametrize("grid, count", OVERSIZED_GRIDS)
+def test_oversized_grid_reports_error(grid, count, capsys):
+    assert cli.main(["--code", "rm(2,1)", "--ebno", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and count in captured.err and captured.out == ""
 
 
 def test_help_documents_every_flag(capsys):

@@ -17,8 +17,6 @@ replaced (index-set max-log, min-sum over generator column supports, a copy
 of each axis' fibers), kept here as a reference.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +24,7 @@ from hypothesis import strategies as st
 
 from oracles import exhaustive_code_llrs
 from rmproduct import rm_core
+import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
 from rmproduct.product import (
@@ -43,8 +42,6 @@ from rmproduct.soft_fht import (
     soft_fht_decode_batch,
 )
 from test_acceptance import MENU_CODES
-
-fht_module = importlib.import_module("rmproduct.fht")  # the package's `fht` is the transform
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 

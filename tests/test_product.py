@@ -1,4 +1,3 @@
-import importlib
 import sys
 import threading
 import tracemalloc
@@ -8,6 +7,7 @@ import pytest
 
 from oracles import min_nonzero_weight
 from rmproduct import gf2, rm_core
+import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
 from rmproduct.product import (
@@ -24,8 +24,6 @@ from rmproduct.soft_fht import (
     info_bit_llrs_batch,
     soft_fht_decode_batch,
 )
-
-fht_module = importlib.import_module("rmproduct.fht")  # the package's `fht` is the transform
 
 
 def codeword_set(code):
@@ -370,7 +368,7 @@ def _workspace_slots(*sizes):
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
 def test_decode_outputs_stay_owned_by_the_caller(mode):
-    # the tensor is decoded in a reused workspace: what a call returns must not be it
+    # the kernels work in a reused workspace: what a call returns must not be part of it
     code = product_code_from_descriptor("rm(3,1)xrm(3,2):bfmapxrm(2,1)")
     rng = np.random.default_rng(131)
     first, second = (rng.normal(size=(16, code.n_t)) for _ in range(2))  # pure noise: distinct words
@@ -408,7 +406,8 @@ def test_a_steady_state_decode_allocates_little_beyond_its_outputs(descriptor, m
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the outputs alone are 1.125 LLR tensors: the copied LLRs and one byte a decision
+    # the outputs alone are 1.125 LLR tensors: the LLR tensor, allocated in the call and
+    # decoded in, and one byte a decision
     assert peak <= 3 * received.nbytes, peak / received.nbytes
 
 
