@@ -26,7 +26,11 @@ CHUNK_FRAMES = 256  # fixed batch size; part of the determinism contract
 # Version of the result values, recorded in the JSON config.  2: ops_per_decode
 # counts the n-1 compares and sign XORs per fiber of the min-sum butterfly.
 # 3: the exhaustive soft-MAP counts only the n code-position LLRs it computes.
-RESULT_FORMAT = 3
+# 4: single-parity-check components, rm(m, m-1), are soft-decoded in closed
+# form: the same max-log LLRs rounded once instead of as a difference of two
+# correlations, so they move by about 1e-14, and ops_per_decode counts that
+# O(n) form instead of the search over 2^k codewords.
+RESULT_FORMAT = 4
 # Version of the seeded random streams, recorded in the JSON config.  2: one
 # bit stream and one noise stream per chunk, keyed by (seed, chunk index).
 RNG_SCHEME = 2

@@ -5,8 +5,11 @@ The SISO component decoder works in three steps along the last axis of any
 LLRs for the k = m+1 information bits from the two halves of the spectrum
 that each bit splits it into, then re-expand them to the n code positions by
 a min-sum prefix butterfly.  A brute-force soft-MAP over all 2^k codewords is
-the component decoder for small codes of order above one.  Every kernel takes
-`out=` as those in `fht` do.
+the component decoder for small codes of order above one; on the
+single-parity-check codes rm(m, m-1) it takes the min-sum check-node rule,
+the exact max-log MAP of one parity check (Hagenauer, Offer, Papke, IEEE
+Trans. Inf. Theory, 1996), in O(n) per fiber.  Every kernel takes `out=` as
+those in `fht` do.
 """
 
 from functools import lru_cache
@@ -113,34 +116,84 @@ def _correlations(block, signs):
     return (block.transpose(0, 2, 1).reshape(-1, n) @ signs.T).reshape(pre, post, len(signs))
 
 
+def _parity_check_kernel(block, written):
+    """Max-log MAP of the single-parity-check fibers of a (pre, n, post)
+    block, into `written` (it may be the block): position j gets
+    2 L_j + 2 (prod_{i != j} sign L_i) min_{i != j} |L_i|.
+
+    One pass over the n slices, in order, keeps the smallest and the
+    second-smallest |L| and the XOR of the sign bits; only then is anything
+    written, and position j reads only L_j.  The least other magnitude is the
+    second-smallest where |L_j| is the smallest (on a tie the two are equal)
+    and the smallest elsewhere.  Signs are taken from sign bits, yet every
+    value is the one of sign(0) = +1: the sign bit of L_j cancels at j, and a
+    zero L_i makes the least other magnitude zero at every other position.
+    Every temporary is a (pre, post) row.
+    """
+    n = block.shape[1]
+    first = np.abs(block[:, 0])
+    second = np.full_like(first, np.inf)
+    odd = np.signbit(block[:, 0])
+    value, tie = np.empty_like(first), np.empty_like(odd)
+    for i in range(1, n):
+        np.abs(block[:, i], out=value)
+        np.minimum(second, value, out=second)
+        np.maximum(second, first, out=second)
+        np.minimum(first, value, out=first)
+        odd ^= np.signbit(block[:, i], out=tie)
+    flip = 1.0 - 2.0 * odd  # the product of all n signs
+    for j in range(n):
+        np.equal(np.abs(block[:, j], out=value), first, out=tie)
+        least = np.where(tie, second, first)
+        np.copysign(least, block[:, j], out=least)
+        least *= flip  # signed by the product of the other n - 1 signs
+        np.add(block[:, j], least, out=written[:, j])
+        written[:, j] *= 2.0
+
+
 def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     """Exact max-log soft MAP along the last axis of (..., n) LLRs, over any small code.
 
     Returns the code-position LLRs (..., n), in `out` if given (it may be
-    `llrs`: the correlations read all of it first), by exhaustive correlation
-    against all 2^k codewords.  The scores are reduced a block of at most
-    SCORE_BLOCK_SIZE >> k fibers at a time: the block is copied
+    `llrs`: all of it is read first).  A single-parity-check code, r = m-1,
+    takes the closed form of `_parity_check_kernel`, in O(n) per fiber: the
+    same max-log values as the search, rounded once per position, and
+    independent of how many fibers share the call.  Any other code is
+    correlated against all 2^k codewords, and the scores are reduced a block
+    of at most SCORE_BLOCK_SIZE >> k fibers at a time: the block is copied
     codeword-major, (2^k, fibers), and position j takes the max over its rows
-    of the codewords with a 0 at j minus the max over those with a 1.
+    of the codewords with a 0 at j minus the max over those with a 1.  Codes
+    with k > MAX_BF_DIM are refused on either path.
     """
     signs = _codebook(code)
     block, target = fiber_block(llrs, code.n)
     pre, n, post = block.shape
-    scores = _correlations(block, signs)
-    written, result = target(n, out)
-    fibers = SCORE_BLOCK_SIZE >> code.k
-    step_pre, step_post = max(1, fibers // max(1, post)), max(1, min(post, fibers))
-    for p in range(0, pre, step_pre):
-        for q in range(0, post, step_post):
-            major = np.moveaxis(scores[p : p + step_pre, q : q + step_post], -1, 0).copy()
-            for j, (zero, one) in enumerate(_column_splits(code)):
-                written[p : p + step_pre, j, q : q + step_post] = (
-                    major[zero].max(axis=0) - major[one].max(axis=0))
+    parity_check = code.r == code.m - 1
+    if parity_check:
+        written, result = target(n, out)
+        _parity_check_kernel(block, written)
+    else:
+        scores = _correlations(block, signs)
+        written, result = target(n, out)
+        fibers = SCORE_BLOCK_SIZE >> code.k
+        step_pre, step_post = max(1, fibers // max(1, post)), max(1, min(post, fibers))
+        for p in range(0, pre, step_pre):
+            for q in range(0, post, step_post):
+                major = np.moveaxis(scores[p : p + step_pre, q : q + step_post], -1, 0).copy()
+                for j, (zero, one) in enumerate(_column_splits(code)):
+                    written[p : p + step_pre, j, q : q + step_post] = (
+                        major[zero].max(axis=0) - major[one].max(axis=0))
     if counter is not None:
         rows, count = pre * post, len(signs)
-        counter.add_sub += rows * (count * (n - 1) + n)
-        counter.compare += rows * n * (count - 2)
-        counter.depth += (n.bit_length() - 1) + code.k + 1
+        if parity_check:  # the scan, then a tie test, a sign XOR and an add per position
+            counter.compare += rows * (3 * (n - 1) + n)
+            counter.sign_mult += rows * ((n - 1) + n)
+            counter.add_sub += rows * n
+            counter.depth += (n - 1) + 1
+        else:
+            counter.add_sub += rows * (count * (n - 1) + n)
+            counter.compare += rows * n * (count - 2)
+            counter.depth += (n.bit_length() - 1) + code.k + 1
     return result
 
 

@@ -6,7 +6,9 @@ axis of 2- and 3-axis tensors, with random LLRs, exact zeros, exact ties and
 magnitudes near 1e150.  Hypothesis draws the cases derandomized, so every
 run checks the same examples.  The brute-force kernels and the encoder take
 the same inputs and are checked against row-by-row calls, and the soft-MAP
-against a mask-gather oracle on fiber counts around its score blocks.  The
+against a mask-gather oracle on fiber counts around its score blocks, and on
+the single-parity-check codes, where it takes a closed form, against the
+exhaustive oracle on every layout.  The
 hard decoders serve +-1 fibers of small codes from tables of their own
 decisions; on all 2^n +-1 words, in every layout, the table answers are
 checked against the kernels' answers on the same words halved.  Every
@@ -247,7 +249,8 @@ def test_hard_decoders_serve_pm1_words_as_their_kernel_decides_them(decoder, m, 
     (soft_fht_decode_batch, 6, 1),
     (fht_ml_decode_batch, 3, 1),
     (fht_ml_decode_batch, 5, 1),  # 2^(n+k) > 2^21: never tabulated
-    (brute_force_soft_map_batch, 3, 2),
+    (brute_force_soft_map_batch, 3, 2),  # the parity-check closed form
+    (brute_force_soft_map_batch, 4, 2),  # the exhaustive search
     (brute_force_ml_decode_batch, 3, 2),
     (brute_force_ml_decode_batch, 4, 2),  # never tabulated
 ], ids=lambda value: getattr(value, "__name__", None))
@@ -338,7 +341,7 @@ def test_brute_force_and_encode_take_any_leading_shape(m, r, case):
                               1.0 - 2.0 * codebook[np.argmax(scores, axis=1)])
 
 
-@pytest.mark.parametrize("m, r", [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("m, r", [(2, 2), (3, 1), (4, 1), (4, 2), (5, 2)])  # exhaustive, k = 4..16
 def test_soft_map_matches_the_mask_gather_oracle_across_score_blocks(m, r):
     code = rm_core.build_rm_code(m, r)
     words, block = 1 << code.k, SCORE_BLOCK_SIZE >> code.k  # block: fibers per score block
@@ -357,6 +360,41 @@ def test_soft_map_matches_the_mask_gather_oracle_across_score_blocks(m, r):
             assert counter.add_sub == len(fast) * (words * (code.n - 1) + code.n)
             assert counter.compare == len(fast) * code.n * (words - 2)
             assert counter.depth == m + code.k + 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@DIFFERENTIAL
+@given(draws())
+def test_parity_check_closed_form_matches_the_exhaustive_oracle(m, case):
+    kind, shape, rng = case
+    code = rm_core.build_rm_code(m, m - 1)  # the single-parity-check code
+    llrs = _values(rng, kind, (shape[0] * shape[1], code.n))
+    oracle = exhaustive_code_llrs(llrs, code)
+    bound = 1e-12 * (1.0 + np.abs(llrs).sum(axis=1, keepdims=True))
+    for layout in LAYOUTS:
+        fibers = _lay_out(llrs.copy(), layout, shape)  # '1d' and 'strided' are views of the copy
+        fresh = brute_force_soft_map_batch(fibers, code)
+        assert brute_force_soft_map_batch(fibers, code, out=fibers) is fibers
+        assert np.array_equal(fibers, fresh), layout
+        fast = _as_fibers(fibers, layout)
+        expected, near = oracle[: len(fast)], bound[: len(fast)]
+        if kind in EXACT_KINDS:  # integer multiples of a power of two: both sides are exact
+            assert np.array_equal(fast, expected), layout
+            continue
+        assert np.all(np.abs(fast - expected) <= near), layout
+        decided = np.abs(expected) > near  # away from exact ties
+        assert np.array_equal(fast[decided] < 0.0, expected[decided] < 0.0), layout
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_parity_check_llrs_do_not_depend_on_the_call_size(m):
+    code = rm_core.build_rm_code(m, m - 1)
+    llrs = np.random.default_rng(m).normal(size=(40, code.n)) * 3.0
+    together = brute_force_soft_map_batch(llrs, code)
+    assert np.array_equal(together, [brute_force_soft_map_batch(row, code) for row in llrs])
+    for lead in [(0,), (3, 0)]:  # no frames
+        empty = np.zeros(lead + (code.n,))
+        assert brute_force_soft_map_batch(empty, code, out=empty) is empty
 
 
 # -- the row-by-row decoder that the in-place kernels replaced ----------------

@@ -203,7 +203,7 @@ def test_json_config_records_result_format():
     stream = io.StringIO()
     sim.emit_json(sim.run_sweep(config), config, stream)
     described = json.loads(stream.getvalue())["config"]
-    assert described["result_format"] == sim.RESULT_FORMAT == 3
+    assert described["result_format"] == sim.RESULT_FORMAT == 4
     assert described["rng"] == sim.RNG_SCHEME == 2
 
 
@@ -214,10 +214,10 @@ def test_json_config_records_result_format():
     ("rm(4,1)xrm(4,1)", 17760, 7584),
     ("rm(10,1)xrm(2,1)", 377700, 168948),
     ("rm(3,1)xrm(3,1)xrm(3,1)", 42624, 17856),
-    ("rm(11,1)xrm(3,2):bfmap", 13024944, 6875112),
+    ("rm(11,1)xrm(3,2):bfmap", 1597104, 6875112),
 ])
 def test_ops_per_decode_of_the_benchmark_matrix(descriptor, soft, hard):
-    assert sim.RESULT_FORMAT == 3
+    assert sim.RESULT_FORMAT == 4
     assert sim._ops_per_decode(descriptor, "soft", 3) == soft
     assert sim._ops_per_decode(descriptor, "hard", 3) == hard
 

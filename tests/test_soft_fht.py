@@ -175,7 +175,7 @@ def test_brute_force_handles_second_order_code():
 
 
 def test_soft_map_keeps_one_score_block_beside_the_scores():
-    code = rm_core.build_rm_code(3, 2)  # k = 7: 128 codewords
+    code = rm_core.build_rm_code(3, 1)  # k = 4: 16 codewords, searched exhaustively
     llrs = np.random.default_rng(67).normal(size=(16384, code.n))
     brute_force_soft_map_batch(llrs[:2], code)  # builds the cached codebook and index sets
     tracemalloc.start()  # numpy reports its data buffers to tracemalloc
