@@ -4,8 +4,8 @@ import numpy as np
 
 
 def pack_rows(matrix) -> list[int]:
-    """Pack each 0/1 row into a Python int bitset (column j -> bit j)."""
-    rows = np.atleast_2d(np.asarray(matrix, dtype=np.uint8) & 1)
+    """Pack each 0/1 row into a Python int bitset (column j -> bit j), C-ordered for packbits' speed."""
+    rows = np.bitwise_and(np.atleast_2d(np.asarray(matrix, dtype=np.uint8)), 1, order="C")
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -31,7 +31,5 @@ def _build_basis(values) -> dict[int, int]:
 
 def row_space_equal(a, b) -> bool:
     """True when the two matrices span the same GF(2) row space."""
-    basis = _build_basis(pack_rows(a))
-    if len(_build_basis(pack_rows(b))) != len(basis):
-        return False
-    return all(_reduce(v, basis) == 0 for v in pack_rows(b))
+    basis, rows = _build_basis(pack_rows(a)), pack_rows(b)
+    return len(_build_basis(rows)) == len(basis) and all(_reduce(v, basis) == 0 for v in rows)

@@ -99,7 +99,7 @@ def product_code_from_descriptor(text: str) -> ProductCode:
     for m, r, kind in specs:
         code = rm_core.build_rm_code(m, r)
         if kind == BF_MAP:
-            soft_fht._codebook(code)  # checks the size cap; a decode would build it anyway
+            soft_fht.check_exhaustive_size(code)
         components.append(Component(code=code, decoder=kind))
     return ProductCode(components)
 

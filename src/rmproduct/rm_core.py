@@ -1,17 +1,16 @@
 """Reed-Muller component codes over GF(2).
 
 An RM(m, r) code has blocklength n = 2^m and dimension k = sum_{i<=r} C(m, i).
-Its generator is the set of rows of the m-th Kronecker power of [[1,0],[1,1]]
-whose Hamming weight is at least 2^(m-r), stored here in a canonical order by
-one rule.  Variable b (0 <= b < m) is bit m-1-b of a position x, most
-significant first, and point(S) = sum_{b in S} 2^(m-1-b) is the position whose
-set variables are exactly S.  Row S, the monomial of a set S of at most r
-variables, is 1 exactly at the positions x whose bits include point(S).  The
-sets S run by degree, then lexicographically: the empty set's all-one row comes
-first, and the m first-order rows spell the numbers 0..n-1 in binary.  The
-canonical order is what makes the codeword/Hadamard-column correspondence used
-by the FHT decoders deterministic; construction verifies it spans the same row
-space as the weight-selected rows.
+Variable b (0 <= b < m) is bit m-1-b of a position x, most significant first,
+and point(S) = sum_{b in S} 2^(m-1-b) is the position whose set variables are
+exactly S.  A code is its k information positions point(S), one per set S of
+at most r variables, by degree and then lexicographically: bit S carries the
+monomial of S, 1 at the positions whose bits include point(S), so the empty
+set's all-one word comes first and the m first-order words spell 0..n-1 in
+binary.  This canonical order makes the codeword/Hadamard-column
+correspondence of the FHT decoders deterministic.  Encoding is the m-stage
+subset-XOR butterfly, and construction checks that the encoder spans the rows
+of the Kronecker power of [[1,0],[1,1]] of weight >= 2^(m-r).
 """
 
 import math
@@ -45,13 +44,13 @@ def rm_dimension(m: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class RmCode:
-    """An RM(m, r) component code with its canonical generator."""
+    """An RM(m, r) component code with its information positions."""
 
     m: int
     r: int
     n: int
     k: int
-    generator: np.ndarray = field(compare=False)  # (k, n) uint8, canonical row order
+    positions: tuple[int, ...] = field(compare=False)  # point(S) of each bit, canonical order
 
     @property
     def rate(self) -> float:
@@ -81,43 +80,43 @@ def parse_rm_descriptor(text: str) -> tuple[int, int]:
 
 
 def _weight_selected_rows(m: int, r: int) -> np.ndarray:
-    """Rows of the Kronecker power with weight >= 2^(m-r), in matrix row order.
-
-    Row i of the power has support {x : x is a bit-submask of i}, hence weight
-    2^popcount(i); only the selected rows are materialized so that first-order
-    constructions stay cheap for large m.
-    """
-    n = 1 << m
-    x = np.arange(n)
-    keep = [i for i in range(n) if i.bit_count() >= m - r]
-    return np.array([(x | i) == i for i in keep], dtype=np.uint8)
+    """Rows of the Kronecker power with weight >= 2^(m-r), in matrix row order: row i
+    is 1 on the bit-submasks of i, weight 2^popcount(i), and only these are built."""
+    x = np.arange(1 << m)
+    return np.array([(x | i) == i for i in range(1 << m) if i.bit_count() >= m - r], dtype=np.uint8)
 
 
 def build_rm_code(m: int, r: int) -> RmCode:
-    """Construct RM(m, r) with the canonical generator: row S is (x & point(S)) == point(S)."""
+    """Construct RM(m, r) with its information positions point(S) in canonical order."""
     _check_order(m, r)
     if m > MAX_M:
         raise SizeLimitError(f"m={m} exceeds cap {MAX_M}")
-    n = 1 << m
-    x = np.arange(n)
-    points = [sum(1 << (m - 1 - b) for b in subset)
-              for degree in range(r + 1) for subset in combinations(range(m), degree)]
-    generator = np.array([(x & p) == p for p in points], dtype=np.uint8)
-    generator.setflags(write=False)  # shared read-only across workers
-    k = generator.shape[0]
-    assert k == rm_dimension(m, r)
-    assert gf2.row_space_equal(generator, _weight_selected_rows(m, r)), (
-        f"canonical rm({m},{r}) generator does not span the weight-selected rows"
-    )
-    return RmCode(m=m, r=r, n=n, k=k, generator=generator)
+    positions = tuple(sum(1 << (m - 1 - b) for b in subset)
+                      for degree in range(r + 1) for subset in combinations(range(m), degree))
+    assert len(positions) == rm_dimension(m, r)
+    code = RmCode(m=m, r=r, n=1 << m, k=len(positions), positions=positions)
+    rows = encode_batch(code, np.eye(code.k, dtype=np.uint8))
+    assert gf2.row_space_equal(rows, _weight_selected_rows(m, r)), f"rm({m},{r}): encoder spans wrong rows"
+    return code
 
 
 def encode_batch(code: RmCode, infos) -> np.ndarray:
-    """Encode (..., k) information words to (..., n) codewords: u . G over GF(2)."""
+    """Encode (..., k) information words to (..., n) codewords over GF(2).
+
+    The low bit of bit S goes to point(S) of a zeroed array with the positions
+    slowest; stage b XORs each position x without bit 2^b into x | 2^b, 2^b
+    positions of every word at a time, so x ends as the XOR of the bits placed
+    at its submasks.  Returns a view of that array."""
     infos = np.asarray(infos, dtype=np.uint8)
     if infos.ndim == 0 or infos.shape[-1] != code.k:
         raise ValueError(f"information words have shape {infos.shape}, expected (..., {code.k})")
-    return (infos @ code.generator) & 1  # uint8 sums wrap mod 256, keeping their parity
+    lead, count = infos.shape[:-1], math.prod(infos.shape[:-1])
+    words = np.zeros((code.n, count), dtype=np.uint8)
+    words[list(code.positions)] = np.moveaxis(infos, -1, 0).reshape(code.k, count) & 1
+    for b in range(code.m):
+        pairs = words.reshape(code.n >> (b + 1), 2, (1 << b) * count)
+        pairs[:, 1] ^= pairs[:, 0]
+    return np.moveaxis(words.reshape((code.n,) + lead), 0, -1)
 
 
 def binary_words(k: int) -> np.ndarray:

@@ -92,21 +92,23 @@ def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     return encoded_bit_llrs_batch(info, code, counter, out)
 
 
-@lru_cache(maxsize=None)
-def _codebook(code: rm_core.RmCode) -> np.ndarray:
-    """Cached +-1 codewords (2^k, n); row i encodes information word i."""
+def check_exhaustive_size(code: rm_core.RmCode) -> None:
+    """Refuse a code too large to decode over all of its 2^k codewords."""
     if code.k > MAX_BF_DIM:
         raise rm_core.SizeLimitError(
-            f"{code.descriptor}: brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}"
-        )
-    return bpsk_modulate(rm_core.encode_batch(code, rm_core.binary_words(code.k)))
+            f"{code.descriptor}: brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}")
 
 
 @lru_cache(maxsize=None)
-def _column_splits(code: rm_core.RmCode) -> tuple:
-    """Cached (codeword indices with bit j = 0, with bit j = 1) for each position j."""
-    return tuple((np.flatnonzero(column > 0.0), np.flatnonzero(column < 0.0))
-                 for column in _codebook(code).T)
+def _codebook(code: rm_core.RmCode) -> tuple:
+    """Cached read-only +-1 codewords (2^k, n), C-ordered, row i encoding word i,
+    and per position the ascending indices of those with a 0 there, then a 1."""
+    words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
+    signs = bpsk_modulate(words, np.empty(words.shape))
+    splits = np.argsort(words.T, axis=1, kind="stable").reshape(code.n, 2, -1)
+    signs.setflags(write=False)  # shared by every caller in the process
+    splits.setflags(write=False)
+    return signs, splits
 
 
 def _correlations(block, signs):
@@ -165,26 +167,26 @@ def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray
     of the codewords with a 0 at j minus the max over those with a 1.  Codes
     with k > MAX_BF_DIM are refused on either path.
     """
-    signs = _codebook(code)
+    check_exhaustive_size(code)
     block, target = fiber_block(llrs, code.n)
     pre, n, post = block.shape
+    written, result = target(n, out)
     parity_check = code.r == code.m - 1
     if parity_check:
-        written, result = target(n, out)
         _parity_check_kernel(block, written)
     else:
+        signs, splits = _codebook(code)
         scores = _correlations(block, signs)
-        written, result = target(n, out)
         fibers = SCORE_BLOCK_SIZE >> code.k
         step_pre, step_post = max(1, fibers // max(1, post)), max(1, min(post, fibers))
         for p in range(0, pre, step_pre):
             for q in range(0, post, step_post):
                 major = np.moveaxis(scores[p : p + step_pre, q : q + step_post], -1, 0).copy()
-                for j, (zero, one) in enumerate(_column_splits(code)):
+                for j, (zero, one) in enumerate(splits):
                     written[p : p + step_pre, j, q : q + step_post] = (
                         major[zero].max(axis=0) - major[one].max(axis=0))
     if counter is not None:
-        rows, count = pre * post, len(signs)
+        rows, count = pre * post, 1 << code.k
         if parity_check:  # the scan, then a tie test, a sign XOR and an add per position
             counter.compare += rows * (3 * (n - 1) + n)
             counter.sign_mult += rows * ((n - 1) + n)
@@ -200,7 +202,7 @@ def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray
 def _ml_kernel(block, code, written):
     """Exhaustive hard ML codewords of a (pre, n, post) block, into `written`,
     ties to the lowest codeword index."""
-    signs = _codebook(code)
+    signs, _ = _codebook(code)
     best = np.argmax(_correlations(block, signs), axis=-1)
     written[...] = signs[best[:, None, :], np.arange(code.n)[:, None]]  # (pre, n, post)
 
@@ -215,6 +217,7 @@ def brute_force_ml_decode_batch(llrs, code, counter=None, out=None) -> np.ndarra
     decisions on all 2^n +-1 words (see `fht.hard_decode`); it counts the
     operations of the exhaustive search all the same.
     """
+    check_exhaustive_size(code)
     decided = hard_decode(llrs, code, _ml_kernel, out)
     if counter is not None:
         rows, count, n = decided.size // code.n, 1 << code.k, code.n

@@ -50,8 +50,9 @@ def sylvester(m: int) -> np.ndarray:
 
 
 def exhaustive_scores(block, code):
-    """Correlations of each LLR row against every +-1 codeword, and the codewords."""
-    words = rm_core.encode_batch(code, rm_core.binary_words(code.k))
+    """Correlations of each LLR row against every +-1 codeword, and the codewords,
+    C-ordered as the decoders' codebook is, so that the product rounds as theirs."""
+    words = np.ascontiguousarray(rm_core.encode_batch(code, rm_core.binary_words(code.k)))
     return np.asarray(block) @ (1.0 - 2.0 * words).T, words
 
 

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from oracles import exhaustive_info_llrs, exhaustive_scores, min_nonzero_weight, sylvester
+from oracles import (exhaustive_info_llrs, exhaustive_scores, min_nonzero_weight, product_rows_generator,
+                     sylvester)
 from rmproduct import rm_core, sim
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
@@ -147,8 +148,8 @@ def test_criterion_4_structural_checks():
 
     from rmproduct import gf2
 
-    enclosing = rm_core.build_rm_code(5, 2)
-    if not gf2.row_space_equal(np.vstack([enclosing.generator, small_words]), enclosing.generator):
+    enclosing = product_rows_generator(5, 2)
+    if not gf2.row_space_equal(np.vstack([enclosing, small_words]), enclosing):
         ok = False
         notes.append("subcode membership")
 

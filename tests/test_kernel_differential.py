@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_code_llrs
+from oracles import exhaustive_code_llrs, product_rows_generator
 from rmproduct import rm_core
 import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
@@ -124,7 +124,7 @@ def _dense_info(spectra, m):
 def _dense_min_sum(info, m):
     """Per position: the least magnitude over the generator rows covering it,
     negative when an odd number of those rows is negative."""
-    covers = rm_core.build_rm_code(m, 1).generator.astype(bool)  # (k, n)
+    covers = product_rows_generator(m, 1).astype(bool)  # (k, n)
     least = np.where(covers[None], np.abs(info)[:, :, None], np.inf).min(axis=1)
     parity = ((info < 0).astype(np.int64) @ covers.astype(np.int64)) & 1
     return np.where(parity == 1, -least, least)
@@ -413,16 +413,17 @@ def _rows_fht(rows):
 def _rows_soft(rows, code):
     spectra = _rows_fht(rows)
     m, n = code.m, code.n
-    ones = code.generator[1 : m + 1].astype(bool)
+    generator = product_rows_generator(m, code.r)
+    ones = generator[1 : m + 1].astype(bool)
     info = np.empty((rows.shape[0], m + 1))
     info[:, 0] = spectra.max(axis=1) - (-spectra).max(axis=1)
     magnitudes = np.abs(spectra)
     for b in range(m):
         info[:, b + 1] = (magnitudes[:, np.flatnonzero(~ones[b])].max(axis=1)
                           - magnitudes[:, np.flatnonzero(ones[b])].max(axis=1))
-    parity = ((info < 0.0).astype(np.uint8) @ code.generator) & 1
+    parity = ((info < 0.0).astype(np.uint8) @ generator) & 1
     least = np.full((rows.shape[0], n), np.inf)
-    for b, support in enumerate(code.generator.astype(bool)):
+    for b, support in enumerate(generator.astype(bool)):
         least[:, support] = np.minimum(least[:, support], np.abs(info[:, b : b + 1]))
     return (1.0 - 2.0 * parity) * least
 

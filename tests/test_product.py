@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import min_nonzero_weight
-from rmproduct import gf2, rm_core
+from oracles import min_nonzero_weight, product_rows_generator
+from rmproduct import gf2, rm_core, soft_fht
 import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
@@ -181,17 +181,17 @@ def test_three_dimensional_fibers():
 
 def test_product_codewords_inside_enclosing_rm_code():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
-    enclosing = rm_core.build_rm_code(5, 2)
+    enclosing = product_rows_generator(5, 2)
     words = product_codewords(code)
-    assert gf2.row_space_equal(np.vstack([enclosing.generator, words]), enclosing.generator)
+    assert gf2.row_space_equal(np.vstack([enclosing, words]), enclosing)
 
 
 def test_product_basis_inside_enclosing_rm_code_more_pairs():
     for m1, m2 in ((4, 3), (5, 2), (6, 4)):
         code = product_code_from_descriptor(f"rm({m1},1)xrm({m2},1)")
         basis = product_encode_batch(code, np.eye(code.k_t, dtype=np.uint8))
-        enclosing = rm_core.build_rm_code(m1 + m2, 2)
-        assert gf2.row_space_equal(np.vstack([enclosing.generator, basis]), enclosing.generator), (m1, m2)
+        enclosing = product_rows_generator(m1 + m2, 2)
+        assert gf2.row_space_equal(np.vstack([enclosing, basis]), enclosing), (m1, m2)
 
 
 def test_product_min_distance_bruteforce():
@@ -347,10 +347,15 @@ def test_single_component_product():
     assert np.array_equal(decided, sent)
 
 
-def test_generators_are_read_only():
-    code = product_code_from_descriptor("rm(2,1)xrm(1,1)")
-    with pytest.raises(ValueError):
-        code.components[0].code.generator[0, 0] = 0
+def test_per_code_caches_are_read_only():
+    # the exhaustive codebook and its position splits, and both hard decoders' +-1 tables
+    fht_code, exhaustive_code = rm_core.build_rm_code(2, 1), rm_core.build_rm_code(3, 2)
+    caches = soft_fht._codebook(exhaustive_code) + (
+        fht_module._hard_table(fht_code, fht_module._ml_kernel),
+        fht_module._hard_table(exhaustive_code, soft_fht._ml_kernel))
+    for cache in caches:
+        with pytest.raises(ValueError, match="read-only"):
+            cache[(0,) * cache.ndim] = 0
 
 
 @pytest.mark.parametrize("descriptor", ["rm(3,2)xrm(2,1)", "rm(3,1):bfmapxrm(2,1)", "rm(3,1)xrm(2,1)"])

@@ -39,19 +39,24 @@ def test_dimension_rejects_bad_orders():
 
 
 def test_canonical_generator_small():
-    assert rm_core.build_rm_code(1, 1).generator.tolist() == [[1, 1], [0, 1]]
-    assert rm_core.build_rm_code(2, 1).generator.tolist() == [
+    assert product_rows_generator(1, 1).tolist() == [[1, 1], [0, 1]]
+    assert product_rows_generator(2, 1).tolist() == [
         [1, 1, 1, 1],
         [0, 0, 1, 1],
         [0, 1, 0, 1],
     ]
 
 
+# every order up to m = 10, and orders 0..2 up to the cap m = 16
+CANONICAL_PAIRS = [(m, r) for m in range(11) for r in range(m + 1)] + [
+    (m, r) for m in range(11, 17) for r in range(3)]
+
+
 def test_canonical_generator_matches_the_row_products():
-    pairs = [(m, r) for m in range(11) for r in range(m + 1)]
-    pairs += [(m, r) for m in range(11, 17) for r in range(3)]
-    for m, r in pairs:
-        generator = rm_core.build_rm_code(m, r).generator
+    # the encoder's codewords of the unit words are the rows of its generator
+    for m, r in CANONICAL_PAIRS:
+        code = rm_core.build_rm_code(m, r)
+        generator = rm_core.encode_batch(code, np.eye(code.k, dtype=np.uint8))
         assert generator.dtype == np.uint8
         assert np.array_equal(generator, product_rows_generator(m, r)), (m, r)
 
@@ -59,7 +64,7 @@ def test_canonical_generator_matches_the_row_products():
 def test_first_row_is_all_one():
     for m, r in [(3, 1), (4, 2), (5, 3)]:
         code = rm_core.build_rm_code(m, r)
-        assert code.generator[0].sum() == code.n
+        assert product_rows_generator(m, r)[0].sum() == code.n
 
 
 def test_row_space_equals_weight_selected_rows():
@@ -69,8 +74,7 @@ def test_row_space_equals_weight_selected_rows():
         weights = p.sum(axis=1)
         for r in range(m + 1):
             selected = p[weights >= 2 ** (m - r)]
-            code = rm_core.build_rm_code(m, r)
-            assert gf2.row_space_equal(code.generator, selected), (m, r)
+            assert gf2.row_space_equal(product_rows_generator(m, r), selected), (m, r)
 
 
 def test_weight_profile_counts():
@@ -78,7 +82,7 @@ def test_weight_profile_counts():
         for r in range(m + 1):
             code = rm_core.build_rm_code(m, r)
             assert code.k == rm_core.rm_dimension(m, r)
-            weights, counts = np.unique(code.generator.sum(axis=1), return_counts=True)
+            weights, counts = np.unique(product_rows_generator(m, r).sum(axis=1), return_counts=True)
             profile = dict(zip(weights.tolist(), counts.tolist()))
             for i in range(r + 1):
                 assert profile.get(code.n // 2**i, 0) == math.comb(m, i), (m, r, i)
@@ -86,8 +90,7 @@ def test_weight_profile_counts():
 
 
 def test_generator_min_row_weight():
-    code = rm_core.build_rm_code(6, 3)
-    assert code.generator.sum(axis=1).min() == 2 ** (6 - 3)
+    assert product_rows_generator(6, 3).sum(axis=1).min() == 2 ** (6 - 3)
 
 
 def test_encode_examples():
@@ -111,11 +114,30 @@ def test_encode_keeps_parity_past_255_ones():
     code = rm_core.build_rm_code(10, 5)  # k = 638
     rng = np.random.default_rng(13)
     infos = rng.integers(0, 2, (4, code.k), dtype=np.uint8)
-    sums = infos.astype(np.int64) @ code.generator.astype(np.int64)
-    assert sums.max() > 255  # the uint8 sums wrap
+    sums = infos.astype(np.int64) @ product_rows_generator(10, 5).astype(np.int64)
+    assert sums.max() > 255  # more than a uint8 sum holds
     encoded = rm_core.encode_batch(code, infos)
     assert encoded.dtype == np.uint8
     assert np.array_equal(encoded, sums % 2)
+
+
+def test_encode_matches_the_generator_product_over_the_integers():
+    # (u @ G) % 2 in int64 is the parity of every entry, so 2, 3 and 255 count
+    # by their low bit; words come as 0 frames, 1-D, 3-D and axis-moved views
+    rng = np.random.default_rng(19)
+    values = np.array([0, 1, 2, 3, 255], dtype=np.uint8)
+    for m, r in CANONICAL_PAIRS:
+        code = rm_core.build_rm_code(m, r)
+        generator = product_rows_generator(m, r).astype(np.int64)
+        words = rng.choice(values, size=(2, 3, code.k))
+        expected = (words.astype(np.int64) @ generator) % 2
+        k_slowest = np.moveaxis(np.ascontiguousarray(np.moveaxis(words, -1, 0)), 0, -1)
+        for infos, want in ((words[:, :0], expected[:, :0]), (words[0, 0], expected[0, 0]),
+                            (words, expected), (np.moveaxis(words, 0, 1), np.moveaxis(expected, 0, 1)),
+                            (k_slowest, expected)):
+            encoded = rm_core.encode_batch(code, infos)
+            assert encoded.dtype == np.uint8 and encoded.shape == infos.shape[:-1] + (code.n,)
+            assert np.array_equal(encoded, want), (m, r, infos.shape)
 
 
 def test_encode_rejects_wrong_length():

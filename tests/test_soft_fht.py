@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import exhaustive_info_llrs
-from rmproduct import rm_core
+from oracles import exhaustive_info_llrs, product_rows_generator
+from rmproduct import rm_core, soft_fht
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
+from rmproduct.product import product_code_from_descriptor
 from rmproduct.soft_fht import (
     brute_force_ml_decode_batch,
     brute_force_soft_map_batch,
@@ -24,7 +25,7 @@ def _halves(m, b):
 
 
 def test_tables_m1_index_sets():
-    row = rm_core.build_rm_code(1, 1).generator[1]
+    row = product_rows_generator(1, 1)[1]
     assert np.flatnonzero(row == 0).tolist() == [0]
     assert np.flatnonzero(row == 1).tolist() == [1]
     zero, one = _halves(1, 0)
@@ -33,7 +34,7 @@ def test_tables_m1_index_sets():
 
 def test_tables_index_sets_are_balanced_partitions():
     for m in range(1, 11):
-        generator = rm_core.build_rm_code(m, 1).generator
+        generator = product_rows_generator(m, 1)
         n = 1 << m
         for b in range(m):
             zero = set(np.flatnonzero(generator[b + 1] == 0).tolist())
@@ -46,7 +47,7 @@ def test_tables_index_sets_are_balanced_partitions():
 
 
 def test_tables_column_supports_m2():
-    supports = rm_core.build_rm_code(2, 1).generator.astype(bool)
+    supports = product_rows_generator(2, 1).astype(bool)
     # canonical generator [[1,1,1,1],[0,0,1,1],[0,1,0,1]]: first column touches
     # only the all-one row
     assert np.flatnonzero(supports[:, 0]).tolist() == [0]
@@ -55,7 +56,7 @@ def test_tables_column_supports_m2():
 
 def test_tables_every_column_has_support():
     for m in (1, 3, 6):
-        generator = rm_core.build_rm_code(m, 1).generator
+        generator = product_rows_generator(m, 1)
         assert generator.sum(axis=0).min() >= 1
 
 
@@ -240,6 +241,29 @@ def test_brute_force_dimension_cap():
     code = rm_core.build_rm_code(5, 4)  # k = 31
     with pytest.raises(rm_core.SizeLimitError):
         brute_force_soft_map_batch(np.zeros(32), code)
+
+
+@pytest.mark.parametrize("m, r", [(5, 3), (5, 4)])
+def test_codes_past_the_dimension_cap_are_refused_before_any_codebook(m, r):
+    code = rm_core.build_rm_code(m, r)
+    message = rf"^rm\({m},{r}\): brute-force decoding caps at k <= 16, got k={code.k}$"
+    built = soft_fht._codebook.cache_info().currsize
+    with pytest.raises(rm_core.SizeLimitError, match=message):
+        product_code_from_descriptor(code.descriptor)
+    for decoder in (brute_force_soft_map_batch, brute_force_ml_decode_batch):
+        with pytest.raises(rm_core.SizeLimitError, match=message):
+            decoder(np.zeros((2, code.n)), code)
+    assert soft_fht._codebook.cache_info().currsize == built
+
+
+def test_only_a_kernel_that_reads_the_codebook_builds_it():
+    soft_fht._codebook.cache_clear()
+    llrs = np.random.default_rng(23).normal(size=(4, 16))
+    brute_force_soft_map_batch(llrs, rm_core.build_rm_code(4, 3))  # the closed form
+    product_code_from_descriptor("rm(11,1)xrm(3,2):bfmap")
+    assert soft_fht._codebook.cache_info().currsize == 0
+    brute_force_soft_map_batch(llrs, rm_core.build_rm_code(4, 2))  # the search reads it
+    assert soft_fht._codebook.cache_info().currsize == 1
 
 
 def test_brute_force_info_sign_matches_ml_word():
