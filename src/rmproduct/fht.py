@@ -1,12 +1,12 @@
 """Fast Walsh-Hadamard transform and hard ML decoding of first-order RM codes.
 
-Every component kernel (here and in `soft_fht`) views its (..., n) input as a
-(pre, n, post) block laid out as it sits in memory and writes float64 in that
-layout: into `out=` if given, else into a fresh array that the caller owns.
-A component decoder's `out` may be its input itself, so product-tensor fibers
-are decoded in place along any axis.  Full-size work arrays come from
-`workspace`, one set per thread and size, so a steady-state decode faults no
-work array in.
+Every component kernel (here and in `soft_fht`) takes from one `fiber_block`
+call its (..., n) input as a (pre, n, post) block laid out as it sits in
+memory, the block it writes in that layout (`out=` if given, else a fresh
+array that the caller owns) and the array it returns.  A component decoder's
+`out` may be its input itself, so product-tensor fibers are decoded in place
+along any axis.  Full-size work arrays come from `workspace`, one set per
+thread and size, so a steady-state decode faults no work array in.
 
 In hard product decoding every component call after the first sees +-1
 fibers, the codewords the previous axis decided.  Both hard decoders (here
@@ -43,16 +43,16 @@ def workspace(size):
     return _workspace(size, threading.get_ident())
 
 
-def fiber_block(values, length=None):
-    """The last axis of `values` as the middle axis of a (pre, n, post) block.
+def fiber_block(values, length=None, out=None, width=None):
+    """The last axis of `values` as the middle axis of a (pre, n, post) block,
+    with the (pre, width, post) block a kernel writes (width defaults to n)
+    and the (..., width) array it returns in the input's axis order.
 
     Axes go into memory order, so for any axis permutation of a C-ordered
-    array the reshape is a view.  Also returns `target(j, out=None,
-    buffer=None)`, the (pre, j, post) block a kernel writes and the (..., j)
-    array it returns in the input's axis order: `out` seen as that block (a
-    float64 array of the input's leading shape that takes the same reshape as
-    a view, such as the input itself), else the head of the flat array
-    `buffer`, else a fresh C-ordered block.
+    array the reshape is a view.  The written block is `out` seen through the
+    same transpose (a float64 array of the input's leading shape that takes
+    the reshape as a view, such as the input itself), else a fresh C-ordered
+    block; returns (block, written, result).
     """
     a = np.asarray(values, dtype=np.float64)
     if length is not None and a.shape[-1] != length:
@@ -64,19 +64,13 @@ def fiber_block(values, length=None):
     outer, inner = moved.shape[:place], moved.shape[place + 1:]
     pre, post = math.prod(outer), math.prod(inner)
     block = moved.reshape(pre, a.shape[-1], post)
-    inverse = np.argsort(perm)
-
-    def target(j, out=None, buffer=None):
-        if out is not None:
-            if out.dtype != np.float64 or out.shape != a.shape[:-1] + (j,):
-                raise ValueError(f"out must be float64 of shape {a.shape[:-1] + (j,)}, "
-                                 f"got {out.dtype} {out.shape}")
-            return out.transpose(perm).reshape((pre, j, post), copy=False), out
-        shape = (pre, j, post)
-        written = np.empty(shape) if buffer is None else buffer[: math.prod(shape)].reshape(shape)
-        return written, written.reshape(outer + (j,) + inner).transpose(inverse)
-
-    return block, target
+    shape = a.shape[:-1] + (a.shape[-1] if width is None else width,)
+    if out is not None:
+        if out.dtype != np.float64 or out.shape != shape:
+            raise ValueError(f"out must be float64 of shape {shape}, got {out.dtype} {out.shape}")
+        return block, out.transpose(perm).reshape((pre, shape[-1], post), copy=False), out
+    written = np.empty((pre, shape[-1], post))
+    return block, written, written.reshape(outer + shape[-1:] + inner).transpose(np.argsort(perm))
 
 
 def prefix_butterfly(op, first, rows, out=None):
@@ -105,12 +99,11 @@ def fht(values, counter=None, out=None):
     not overlap the input).  The stages alternate between the result and a
     workspace partner, so that the last one lands in the result.
     """
-    block, target = fiber_block(values)
+    block, written, result = fiber_block(values, out=out)
     pre, n, post = block.shape
     if n == 0 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
     m = n.bit_length() - 1
-    written, result = target(n, out)
     buffers = (written, workspace(block.size)[1].reshape(block.shape))
     source = block
     for stage in range(m):
@@ -186,8 +179,7 @@ def hard_decode(llrs, code, kernel, out=None):
     built once per code, so every tie breaks as the kernel breaks it.  Both
     paths read all of the input before they write the output.
     """
-    block, target = fiber_block(llrs, code.n)
-    written, result = target(code.n, out)
+    block, written, result = fiber_block(llrs, code.n, out)
     if code.n + code.k <= MAX_TABLE_BITS and _all_pm1(block):
         _pm1_fibers(np.take(_hard_table(code, kernel), _sign_indices(block)), code.n, written)
     else:

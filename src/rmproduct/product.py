@@ -104,18 +104,35 @@ def product_code_from_descriptor(text: str) -> ProductCode:
     return ProductCode(components)
 
 
+def _along_axes(code: ProductCode, tensor, step) -> np.ndarray:
+    """Apply `step(component code, array)` along the last axis of each
+    component's view of `tensor`, component 1 (the last axis) first."""
+    for index, comp in enumerate(code.components):
+        axis = -1 - index
+        tensor = np.moveaxis(step(comp.code, np.moveaxis(tensor, axis, -1)), -1, axis)
+    return tensor
+
+
 def product_encode_batch(code: ProductCode, infos) -> np.ndarray:
     """Encode (..., k_t) information words to (..., n_t) codewords."""
     infos = np.asarray(infos, dtype=np.uint8)
     if infos.ndim == 0 or infos.shape[-1] != code.k_t:
         raise ValueError(f"information words have shape {infos.shape}, expected (..., {code.k_t})")
     lead = infos.shape[:-1]
-    tensor = infos.reshape(lead + code.info_shape)
-    for index, comp in enumerate(code.components):
-        axis = -1 - index  # component 1 on the last axis
-        encoded = rm_core.encode_batch(comp.code, np.moveaxis(tensor, axis, -1))
-        tensor = np.moveaxis(encoded, -1, axis)
-    return tensor.reshape(lead + (code.n_t,))
+    return _along_axes(code, infos.reshape(lead + code.info_shape),
+                       rm_core.encode_batch).reshape(lead + (code.n_t,))
+
+
+def product_recover_batch(code: ProductCode, words) -> np.ndarray:
+    """The (..., k_t) information words of (..., n_t) words, read through each
+    component's information positions: the inverse of `product_encode_batch`
+    on codewords, and the information-bit error pattern of an error pattern."""
+    words = np.asarray(words, dtype=np.uint8)
+    if words.ndim == 0 or words.shape[-1] != code.n_t:
+        raise ValueError(f"words have shape {words.shape}, expected (..., {code.n_t})")
+    lead = words.shape[:-1]
+    return _along_axes(code, words.reshape(lead + code.tensor_shape),
+                       rm_core.recover_batch).reshape(lead + (code.k_t,))
 
 
 def _decode_fibers(comp: Component, fibers: np.ndarray, mode: str, counter) -> None:

@@ -9,8 +9,9 @@ monomial of S, 1 at the positions whose bits include point(S), so the empty
 set's all-one word comes first and the m first-order words spell 0..n-1 in
 binary.  This canonical order makes the codeword/Hadamard-column
 correspondence of the FHT decoders deterministic.  Encoding is the m-stage
-subset-XOR butterfly, and construction checks that the encoder spans the rows
-of the Kronecker power of [[1,0],[1,1]] of weight >= 2^(m-r).
+subset-XOR butterfly; recovery runs the same stages, their own inverse, and
+reads the information positions.  Construction checks that the encoder spans
+the rows of the Kronecker power of [[1,0],[1,1]] of weight >= 2^(m-r).
 """
 
 import math
@@ -100,23 +101,50 @@ def build_rm_code(m: int, r: int) -> RmCode:
     return code
 
 
+def _subset_xor(words, m: int) -> None:
+    """The m in-place stages on (2^m, count) uint8 `words`, positions slowest:
+    stage b XORs each position x without bit 2^b into x | 2^b, 2^b positions
+    of every word at a time, so x ends as the XOR of its submasks' entries.
+    Over GF(2) the transform is its own inverse."""
+    count = words.shape[1]
+    for b in range(m):
+        pairs = words.reshape(words.shape[0] >> (b + 1), 2, (1 << b) * count)
+        pairs[:, 1] ^= pairs[:, 0]
+
+
 def encode_batch(code: RmCode, infos) -> np.ndarray:
     """Encode (..., k) information words to (..., n) codewords over GF(2).
 
     The low bit of bit S goes to point(S) of a zeroed array with the positions
-    slowest; stage b XORs each position x without bit 2^b into x | 2^b, 2^b
-    positions of every word at a time, so x ends as the XOR of the bits placed
-    at its submasks.  Returns a view of that array."""
+    slowest, and the subset-XOR stages leave each position x the XOR of the
+    bits placed at its submasks.  Returns a view of that array."""
     infos = np.asarray(infos, dtype=np.uint8)
     if infos.ndim == 0 or infos.shape[-1] != code.k:
         raise ValueError(f"information words have shape {infos.shape}, expected (..., {code.k})")
     lead, count = infos.shape[:-1], math.prod(infos.shape[:-1])
     words = np.zeros((code.n, count), dtype=np.uint8)
     words[list(code.positions)] = np.moveaxis(infos, -1, 0).reshape(code.k, count) & 1
-    for b in range(code.m):
-        pairs = words.reshape(code.n >> (b + 1), 2, (1 << b) * count)
-        pairs[:, 1] ^= pairs[:, 0]
+    _subset_xor(words, code.m)
     return np.moveaxis(words.reshape((code.n,) + lead), 0, -1)
+
+
+def recover_batch(code: RmCode, words) -> np.ndarray:
+    """The (..., k) information words of (..., n) words over GF(2), read through
+    the information positions: the inverse of `encode_batch` on codewords.
+
+    The low bits are copied with the positions slowest and the other axes in
+    the input's memory order, the subset-XOR stages undo the encoder's, and
+    bit S is read at point(S); a word's bits elsewhere are never read.  Linear,
+    so it maps a codeword error pattern to the information-bit error pattern.
+    Returns a view of that gather, positions slowest."""
+    words = np.asarray(words, dtype=np.uint8)
+    if words.ndim == 0 or words.shape[-1] != code.n:
+        raise ValueError(f"words have shape {words.shape}, expected (..., {code.n})")
+    moved = np.moveaxis(words, -1, 0)
+    order = [0] + sorted(range(1, moved.ndim), key=lambda axis: -moved.strides[axis])
+    bits = np.bitwise_and(moved.transpose(order), 1, order="C")
+    _subset_xor(bits.reshape(code.n, -1), code.m)
+    return np.moveaxis(bits[list(code.positions)].transpose(np.argsort(order)), 0, -1)
 
 
 def binary_words(k: int) -> np.ndarray:

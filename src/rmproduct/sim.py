@@ -30,7 +30,10 @@ CHUNK_FRAMES = 256  # fixed batch size; part of the determinism contract
 # form: the same max-log LLRs rounded once instead of as a difference of two
 # correlations, so they move by about 1e-14, and ops_per_decode counts that
 # O(n) form instead of the search over 2^k codewords.
-RESULT_FORMAT = 4
+# 5: bit_errors counts the information bits in error, read back from the
+# decided codeword through the encoder's information positions, instead of
+# the code bits, so ber <= bler; frames and block errors are unchanged.
+RESULT_FORMAT = 5
 # Version of the seeded random streams, recorded in the JSON config.  2: one
 # bit stream and one noise stream per chunk, keyed by (seed, chunk index).
 RNG_SCHEME = 2
@@ -128,17 +131,19 @@ def _chunk_draws(code: product.ProductCode, sigma2: float, seed: int,
 
 def _run_chunk(descriptor: str, mode: str, iterations: int, sigma2: float,
                seed: int, start: int, count: int):
-    """Simulate frames [start, start+count); returns per-frame error tallies.
+    """Simulate frames [start, start+count); returns per-frame block-error
+    flags and information-bit error counts.
 
     `start` is a multiple of CHUNK_FRAMES and `count` at most CHUNK_FRAMES.
     """
     code = _cached_code(descriptor)
     infos, noise = _chunk_draws(code, sigma2, seed, start, count)
     encoded = product.product_encode_batch(code, infos)
-    received = channel.bpsk_modulate(encoded) + noise
+    received = np.add(channel.bpsk_modulate(encoded), noise, out=noise)
     decided, _ = product.product_decode_batch(code, received, sigma2, iterations, mode)
-    mismatch = decided != encoded
-    return mismatch.any(axis=1), mismatch.sum(axis=1, dtype=np.int64)
+    mismatch = np.bitwise_xor(decided, encoded, order="F")  # frames fastest, as `decided`
+    info_errors = product.product_recover_batch(code, mismatch)
+    return mismatch.any(axis=1), info_errors.sum(axis=1, dtype=np.int64)
 
 
 def usable_cpus() -> int:
@@ -182,8 +187,11 @@ def run_sweep(config: SimConfig) -> list[SimPoint]:
     """Estimate BLER/BER at each Eb/N0 point of a sweep, with every point's chunks
     in one pool of min(`workers`, usable CPUs) processes if that exceeds 1, else here.
 
-    Frames are compared at the codeword level (the decoder returns a hard
-    codeword, not information bits); a block error is any bit mismatch.
+    A block error is a decided codeword that differs from the sent one in
+    any bit.  The bit errors are the information bits that differ, read from
+    the decided codeword through the information positions
+    (`product.product_recover_batch`), so a decision that is not a codeword
+    may count a block error with no bit error.
     """
     code = _cached_code(config.code)
     processes = min(config.workers, usable_cpus())

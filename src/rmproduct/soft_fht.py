@@ -35,12 +35,11 @@ def info_bit_llrs_batch(spectra, code, counter=None, out=None) -> np.ndarray:
     pairwise max, in place.  So about 3n entries are read per fiber, and no
     temporary is larger than a (pre, post) row.
     """
-    block, target = fiber_block(spectra, code.n)
+    block, written, result = fiber_block(spectra, code.n, out, code.k)
     pre, n, post = block.shape
     m = code.m
     peak, trough = block.max(axis=1), block.min(axis=1)
     magnitudes = np.abs(block, out=workspace(block.size)[1].reshape(block.shape))
-    written, result = target(m + 1, out)  # the spectra are read: it may overlap them
     np.add(peak, trough, out=written[:, 0])
     for b in range(m):
         half = n >> (b + 1)
@@ -65,12 +64,11 @@ def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarra
     The signs are applied as a +-1 product; the magnitudes and then the +-1
     signs live in the workspace scratch.
     """
-    block, target = fiber_block(info_llrs, code.k)
+    block, least, result = fiber_block(info_llrs, code.k, out, code.n)
     pre, _, post = block.shape
     scratch = workspace(pre * code.n * post)[1]
     magnitudes = np.abs(block, out=scratch[: block.size].reshape(block.shape))
     negative = block < 0.0
-    least, result = target(code.n, out)
     prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:], least)
     flips = prefix_butterfly(np.logical_xor, negative[:, :1], negative[:, 1:])
     least *= bpsk_modulate(flips, scratch[: least.size].reshape(least.shape))
@@ -84,12 +82,17 @@ def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarra
 def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     """Full SISO pipeline along the last axis of a (..., n) LLR array, into
     `out` if given (it may be `llrs`).  The spectra, and then the info-bit
-    LLRs over them, live in the workspace array of the component decoders."""
-    block, target = fiber_block(llrs, code.n)
+    LLRs over them, lie at the head of the component decoders' workspace
+    array in the block's own (pre, n, post) layout; each step gets (pre, post, n) views."""
+    block, written, result = fiber_block(llrs, code.n, out)
+    pre, _, post = block.shape
     spare = workspace(block.size)[0]
-    spectra = fht(llrs, counter, out=target(code.n, buffer=spare)[1])
-    info = info_bit_llrs_batch(spectra, code, counter, out=target(code.k, buffer=spare)[1])
-    return encoded_bit_llrs_batch(info, code, counter, out)
+    spectra = spare[: block.size].reshape(block.shape).swapaxes(1, 2)
+    info = spare[: pre * code.k * post].reshape(pre, code.k, post).swapaxes(1, 2)
+    fht(block.swapaxes(1, 2), counter, out=spectra)
+    info_bit_llrs_batch(spectra, code, counter, out=info)
+    encoded_bit_llrs_batch(info, code, counter, out=written.swapaxes(1, 2))
+    return result
 
 
 def check_exhaustive_size(code: rm_core.RmCode) -> None:
@@ -168,9 +171,8 @@ def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray
     with k > MAX_BF_DIM are refused on either path.
     """
     check_exhaustive_size(code)
-    block, target = fiber_block(llrs, code.n)
+    block, written, result = fiber_block(llrs, code.n, out)
     pre, n, post = block.shape
-    written, result = target(n, out)
     parity_check = code.r == code.m - 1
     if parity_check:
         _parity_check_kernel(block, written)

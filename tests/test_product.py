@@ -16,6 +16,7 @@ from rmproduct.product import (
     product_code_from_descriptor,
     product_decode_batch,
     product_encode_batch,
+    product_recover_batch,
 )
 from rmproduct.soft_fht import (
     brute_force_ml_decode_batch,
@@ -335,6 +336,35 @@ def test_encode_validates_arguments():
         product_encode_batch(code, np.zeros(code.k_t + 1, dtype=np.uint8))
 
 
+# the acceptance menu, the CI smoke codes, the benchmark matrix, and rm(3,2)
+# and rm(4,2) as one-component products
+RECOVER_CODES = (
+    "rm(6,1)xrm(2,1)", "rm(5,1)xrm(3,1)", "rm(4,1)xrm(4,1)", "rm(3,1)xrm(2,1)", "rm(4,1)xrm(2,1)",
+    "rm(11,1)xrm(3,2):bfmap", "rm(10,1)xrm(2,1)", "rm(3,1)xrm(3,1)xrm(3,1)", "rm(3,2):bfmapxrm(2,1)",
+    "rm(4,1)xrm(3,2):bfmap", "rm(4,3)xrm(2,1)", "rm(4,1)xrm(3,2)", "rm(4,2)xrm(2,1)",
+    "rm(3,1):bfmapxrm(2,1)", "rm(3,2)", "rm(4,2)",
+)
+
+
+@pytest.mark.parametrize("descriptor", RECOVER_CODES)
+def test_recover_inverts_encode(descriptor):
+    code = product_code_from_descriptor(descriptor)
+    infos = np.random.default_rng(29).integers(0, 2, (2, 3, code.k_t), dtype=np.uint8)
+    sent = product_encode_batch(code, infos)
+    frames_fastest = np.asfortranarray(sent.reshape(6, -1))  # the decoder's layout
+    for words, want in ((sent[:, :0], infos[:, :0]), (sent[0, 0], infos[0, 0]), (sent, infos),
+                        (frames_fastest, infos.reshape(6, -1))):
+        recovered = product_recover_batch(code, words)
+        assert recovered.dtype == np.uint8 and recovered.shape == words.shape[:-1] + (code.k_t,)
+        assert np.array_equal(recovered, want), words.shape
+
+
+def test_recover_validates_arguments():
+    code = product_code_from_descriptor("rm(2,1)xrm(1,1)")
+    with pytest.raises(ValueError, match="expected"):
+        product_recover_batch(code, np.zeros(code.n_t + 1, dtype=np.uint8))
+
+
 def test_single_component_product():
     # Q = 1 degenerates to the component code itself
     code = product_code_from_descriptor("rm(3,1)")
@@ -397,6 +427,21 @@ def test_kernels_without_out_return_arrays_of_their_own():
                brute_force_ml_decode_batch(llrs, second), brute_force_ml_decode_batch(signs, second)]
     for result in results:
         assert not any(np.shares_memory(result, slot) for slot in _workspace_slots(20, 40))
+
+
+def test_every_kernel_refuses_an_out_of_the_wrong_dtype_or_shape():
+    first, second = rm_core.build_rm_code(3, 1), rm_core.build_rm_code(3, 2)
+    llrs = np.random.default_rng(133).normal(size=(5, 8))
+    calls = [(lambda out: fht(llrs, out=out), 8), (lambda out: info_bit_llrs_batch(llrs, first, out=out), 4),
+             (lambda out: encoded_bit_llrs_batch(llrs[:, :4], first, out=out), 8),
+             (lambda out: soft_fht_decode_batch(llrs, first, out=out), 8),
+             (lambda out: fht_ml_decode_batch(llrs, first, out=out), 8),
+             (lambda out: brute_force_soft_map_batch(llrs, second, out=out), 8),
+             (lambda out: brute_force_ml_decode_batch(llrs, second, out=out), 8)]
+    for call, width in calls:
+        for wrong in (np.zeros((5, width), dtype=np.float32), np.zeros((5, width + 1)), np.zeros((4, width))):
+            with pytest.raises(ValueError, match=rf"out must be float64 of shape \(5, {width}\), got"):
+                call(wrong)
 
 
 @pytest.mark.parametrize("descriptor, mode", [("rm(6,1)xrm(2,1)", "soft"),

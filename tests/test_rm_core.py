@@ -146,6 +146,32 @@ def test_encode_rejects_wrong_length():
         rm_core.encode_batch(code, [1, 0])
 
 
+def test_recover_inverts_encode_and_reads_only_the_information_positions():
+    # every r <= m <= 10, rm(3,2) and rm(4,2) among them, and r <= 2 up to
+    # m = 16; words come as 0 frames, 1-D, 3-D, axis-moved and n-slowest views
+    rng = np.random.default_rng(23)
+    for m, r in CANONICAL_PAIRS:
+        code = rm_core.build_rm_code(m, r)
+        infos = rng.integers(0, 2, (2, 3, code.k), dtype=np.uint8)
+        words = rm_core.encode_batch(code, infos)
+        for given, want in ((words[:, :0], infos[:, :0]), (words[0, 0], infos[0, 0]),
+                            (np.ascontiguousarray(words), infos),
+                            (np.moveaxis(words, 0, 1), np.moveaxis(infos, 0, 1)), (words, infos)):
+            recovered = rm_core.recover_batch(code, given)
+            assert recovered.dtype == np.uint8 and recovered.shape == given.shape[:-1] + (code.k,)
+            assert np.array_equal(recovered, want), (m, r, given.shape)
+        elsewhere = np.setdiff1d(np.arange(code.n), code.positions)
+        flipped = words.copy()
+        flipped[..., elsewhere] ^= rng.integers(0, 2, flipped[..., elsewhere].shape, dtype=np.uint8)
+        assert np.array_equal(rm_core.recover_batch(code, flipped), infos), (m, r)
+
+
+def test_recover_rejects_wrong_length():
+    code = rm_core.build_rm_code(3, 1)
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 8\)"):
+        rm_core.recover_batch(code, np.zeros((2, 4), dtype=np.uint8))
+
+
 def test_enumerate_codewords_rm11():
     code = rm_core.build_rm_code(1, 1)
     words = rm_core.encode_batch(code, rm_core.binary_words(code.k))

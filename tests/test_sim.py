@@ -203,7 +203,7 @@ def test_json_config_records_result_format():
     stream = io.StringIO()
     sim.emit_json(sim.run_sweep(config), config, stream)
     described = json.loads(stream.getvalue())["config"]
-    assert described["result_format"] == sim.RESULT_FORMAT == 4
+    assert described["result_format"] == sim.RESULT_FORMAT == 5
     assert described["rng"] == sim.RNG_SCHEME == 2
 
 
@@ -217,15 +217,44 @@ def test_json_config_records_result_format():
     ("rm(11,1)xrm(3,2):bfmap", 1597104, 6875112),
 ])
 def test_ops_per_decode_of_the_benchmark_matrix(descriptor, soft, hard):
-    assert sim.RESULT_FORMAT == 4
+    assert sim.RESULT_FORMAT == 5
     assert sim._ops_per_decode(descriptor, "soft", 3) == soft
     assert sim._ops_per_decode(descriptor, "hard", 3) == hard
+
+
+@pytest.mark.parametrize("descriptor, mode, ebno_db", [
+    ("rm(3,1)xrm(2,1)", "soft", 1.0), ("rm(3,1)xrm(2,1)", "hard", 1.0), ("rm(6,1)xrm(2,1)", "soft", 2.5),
+    ("rm(6,1)xrm(2,1)", "hard", 2.5), ("rm(3,1)xrm(3,1)xrm(3,1)", "hard", 5.0),
+    ("rm(4,2)xrm(2,1)", "hard", 2.0),
+])
+def test_information_bit_error_rate_never_exceeds_the_block_error_rate(descriptor, mode, ebno_db):
+    point = sim.run_point(descriptor, mode=mode, iterations=3, ebno_db=ebno_db,
+                          min_block_errors=40, max_frames=2048, seed=2022)
+    assert point.block_errors > 0
+    assert point.ber <= point.bler
+    assert point.bit_errors <= sim._cached_code(descriptor).k_t * point.block_errors
 
 
 def chunk_args(ebno_db=0.5, seed=77):
     descriptor = "rm(3,1)xrm(2,1)"
     sigma2 = sim.channel.ebno_db_to_sigma2(ebno_db, sim._cached_code(descriptor).rate)
     return descriptor, "soft", 2, sigma2, seed
+
+
+def test_a_non_codeword_with_the_right_information_bits_has_no_bit_errors(monkeypatch):
+    # x0 x1 on the rm(3,1) axis is a monomial outside its information set, so
+    # it is zero at every information position, and of weight 2 < d = 4
+    descriptor, mode, iterations, sigma2, seed = chunk_args()
+    code = sim._cached_code(descriptor)
+    monomial = rm_core.encode_batch(rm_core.build_rm_code(3, 3), np.eye(8, dtype=np.uint8)[4])
+    assert monomial.tolist() == [0, 0, 0, 0, 0, 0, 1, 1]
+    pattern = np.outer(np.ones(4, dtype=np.uint8), monomial).reshape(-1)  # rows on the rm(3,1) axis
+    infos, _ = sim._chunk_draws(code, sigma2, seed, 0, 5)
+    decided = product.product_encode_batch(code, infos) ^ pattern
+    assert np.array_equal(product.product_recover_batch(code, decided), infos)
+    monkeypatch.setattr(sim.product, "product_decode_batch", lambda *args: (decided, None))
+    flags, bit_counts = sim._run_chunk(descriptor, mode, iterations, sigma2, seed, 0, 5)
+    assert flags.tolist() == [True] * 5 and bit_counts.tolist() == [0] * 5
 
 
 def test_partial_chunk_is_head_of_full_chunk():
