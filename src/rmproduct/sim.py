@@ -162,30 +162,87 @@ def _ops_per_decode(descriptor: str, mode: str, iterations: int) -> float:
     return float(counter.total())
 
 
-def _tallies(pool, processes: int, chunks):
-    """Yield the tallies of `chunks` (_run_chunk argument tuples) in order: run
-    here when `pool` is None, else with 2 * processes + 2 chunks in flight,
-    those still pending cancelled when the generator is closed."""
-    if pool is None:
-        yield from (_run_chunk(*args) for args in chunks)
-        return
-    window = 2 * processes + 2
-    pending = deque()
+@dataclass
+class _Tally:
+    """The tallies folded so far at one Eb/N0 point, and its frames submitted."""
+
+    frames: int = 0
+    block_errors: int = 0
+    bit_errors: int = 0
+    submitted: int = 0
+
+    def frames_needed(self, config: SimConfig) -> float:
+        """The frames folded, plus the block errors still missing over the Wilson
+        upper bound on the BLER so far, up to the frame cap: the frames the point
+        needs if its BLER is that high.  Equals `frames` once the point is done."""
+        missing = config.min_block_errors - self.block_errors
+        return min(config.max_frames,
+                   self.frames + missing / wilson_interval(self.block_errors, self.frames)[1])
+
+
+def _tallies(pool, processes: int, config: SimConfig, sigma2s) -> list[_Tally]:
+    """Run the chunks of every point of a sweep and return each point's tallies.
+
+    A point's chunk is submitted only while the point's submitted frames are
+    below its `frames_needed` from the tallies folded so far, and each free
+    slot goes to the first such point in grid order, so the next points'
+    chunks run while a point drains.  With no pool each chunk runs and is
+    folded here when submitted; with a pool up to 2 * processes are in
+    flight, and the oldest is folded first, so each point folds its own
+    chunks in chunk order.  A done point's pending chunks are cancelled at
+    once, and on return or error every pending chunk, before the caller
+    shuts the pool down.
+    """
+    tallies = [_Tally() for _ in sigma2s]
+    unfinished = list(range(len(tallies)))  # in grid order
+    pending = deque()  # (point, future), in submission order
+
+    def fold(point, flags, bit_counts):
+        tally = tallies[point]
+        # Up to and including the frame that meets the target, if it is here.
+        cumulative = np.cumsum(flags)
+        cut = int(np.searchsorted(cumulative, config.min_block_errors - tally.block_errors)) + 1
+        taken = min(cut, len(flags))
+        tally.frames += taken
+        tally.block_errors += int(cumulative[taken - 1])
+        tally.bit_errors += int(bit_counts[:cut].sum())
+        if tally.frames_needed(config) == tally.frames:  # done: drop its later chunks
+            unfinished.remove(point)
+            for entry in [entry for entry in pending if entry[0] == point]:
+                pending.remove(entry)
+                entry[1].cancel()
+
     try:
-        for args in chunks:
-            pending.append(pool.submit(_run_chunk, *args))
-            if len(pending) == window:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        while True:
+            while len(pending) < 2 * processes:
+                point = next((p for p in unfinished
+                              if tallies[p].submitted < tallies[p].frames_needed(config)), None)
+                if point is None:
+                    break
+                tally = tallies[point]
+                count = min(CHUNK_FRAMES, config.max_frames - tally.submitted)
+                args = (config.code, config.decoder, config.iterations, sigma2s[point],
+                        config.seed, tally.submitted, count)
+                tally.submitted += count
+                if pool is None:
+                    fold(point, *_run_chunk(*args))
+                else:
+                    pending.append((point, pool.submit(_run_chunk, *args)))
+            if not pending:
+                return tallies
+            point, future = pending.popleft()
+            fold(point, *future.result())
     finally:
-        for future in pending:
+        for _, future in pending:
             future.cancel()
 
 
 def run_sweep(config: SimConfig) -> list[SimPoint]:
-    """Estimate BLER/BER at each Eb/N0 point of a sweep, with every point's chunks
-    in one pool of min(`workers`, usable CPUs) processes if that exceeds 1, else here.
+    """Estimate BLER/BER at each Eb/N0 point of a sweep.
+
+    The chunks run in one pool of min(`workers`, usable CPUs) processes if
+    that exceeds 1, where the next points' chunks keep the workers busy while
+    a point drains (`_tallies`); else here, one point after another.
 
     A block error is a decided codeword that differs from the sent one in
     any bit.  The bit errors are the information bits that differ, read from
@@ -195,40 +252,25 @@ def run_sweep(config: SimConfig) -> list[SimPoint]:
     """
     code = _cached_code(config.code)
     processes = min(config.workers, usable_cpus())
-    points = []
+    sigma2s = [channel.ebno_db_to_sigma2(ebno_db, code.rate) for ebno_db in config.ebno_dbs]
     with (ProcessPoolExecutor(max_workers=processes) if processes > 1
           else contextlib.nullcontext()) as pool:
-        for ebno_db in config.ebno_dbs:
-            sigma2 = channel.ebno_db_to_sigma2(ebno_db, code.rate)
-            chunks = ((config.code, config.decoder, config.iterations, sigma2, config.seed,
-                       start, min(CHUNK_FRAMES, config.max_frames - start))
-                      for start in range(0, config.max_frames, CHUNK_FRAMES))  # lazy: may be 10**12
-            frames_run = block_errors = bit_errors = 0
-            # Closed inside the pool's block, so pending chunks are cancelled before it shuts down.
-            with contextlib.closing(_tallies(pool, processes, chunks)) as tallies:
-                for flags, bit_counts in tallies:
-                    # Up to and including the frame that meets the target, if it is here.
-                    cumulative = np.cumsum(flags)
-                    cut = int(np.searchsorted(cumulative, config.min_block_errors - block_errors)) + 1
-                    taken = min(cut, len(flags))
-                    frames_run += taken
-                    block_errors += int(cumulative[taken - 1])
-                    bit_errors += int(bit_counts[:cut].sum())
-                    if block_errors == config.min_block_errors:
-                        break
-            ci_lo, ci_hi = wilson_interval(block_errors, frames_run)
-            points.append(SimPoint(
-                ebno_db=float(ebno_db),
-                snr_db=channel.sigma2_to_snr_db(sigma2),
-                frames=frames_run,
-                bit_errors=bit_errors,
-                block_errors=block_errors,
-                ber=bit_errors / (frames_run * code.k_t),
-                bler=block_errors / frames_run,
-                bler_ci_lo=ci_lo,
-                bler_ci_hi=ci_hi,
-                ops_per_decode=_ops_per_decode(config.code, config.decoder, config.iterations),
-            ))
+        tallies = _tallies(pool, processes, config, sigma2s)
+    points = []
+    for ebno_db, sigma2, tally in zip(config.ebno_dbs, sigma2s, tallies):
+        ci_lo, ci_hi = wilson_interval(tally.block_errors, tally.frames)
+        points.append(SimPoint(
+            ebno_db=float(ebno_db),
+            snr_db=channel.sigma2_to_snr_db(sigma2),
+            frames=tally.frames,
+            bit_errors=tally.bit_errors,
+            block_errors=tally.block_errors,
+            ber=tally.bit_errors / (tally.frames * code.k_t),
+            bler=tally.block_errors / tally.frames,
+            bler_ci_lo=ci_lo,
+            bler_ci_hi=ci_hi,
+            ops_per_decode=_ops_per_decode(config.code, config.decoder, config.iterations),
+        ))
     return points
 
 

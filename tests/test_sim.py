@@ -303,18 +303,47 @@ def test_huge_frame_cap_stops_at_the_error_target(workers):
     assert point.frames < sim.CHUNK_FRAMES
 
 
+def test_a_long_grid_checks_each_point_a_few_times(monkeypatch):
+    checks = []
+    frames_needed = sim._Tally.frames_needed
+    monkeypatch.setattr(sim._Tally, "frames_needed",
+                        lambda tally, config: checks.append(tally) or frames_needed(tally, config))
+    grid = tuple(i / 10 for i in range(300))
+    points = sim.run_sweep(sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, min_block_errors=1,
+                                         max_frames=1))
+    assert [p.frames for p in points] == [1] * len(grid)
+    assert len(checks) <= 4 * len(grid)  # a finished point is not checked again
+
+
+class SettledFuture(Future):
+    """A future that records when the sweep folds its result or cancels it."""
+
+    settled = False
+
+    def result(self, timeout=None):
+        self.settled = True
+        return super().result(timeout)
+
+    def cancel(self):
+        self.settled = True
+        return super().cancel()
+
+
 class InlinePool:
     """Stands in for ProcessPoolExecutor: runs each call at submit, starts no process.
 
-    Records the size of every pool built and the start frame of every chunk
-    submitted.
+    Records the size of every pool built, the start frame of every chunk
+    submitted, and after each submit the chunks submitted and not yet folded
+    or cancelled.
     """
 
     sizes: list = []
     submitted: list = []
+    in_flight: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.futures = []
 
     def __enter__(self):
         return self
@@ -324,8 +353,10 @@ class InlinePool:
 
     def submit(self, fn, *args):
         self.submitted.append(args[5])
-        future = Future()
+        future = SettledFuture()
         future.set_result(fn(*args))
+        self.futures.append(future)
+        self.in_flight.append(sum(not f.settled for f in self.futures))
         return future
 
 
@@ -333,6 +364,7 @@ class InlinePool:
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(InlinePool, "submitted", [])
+    monkeypatch.setattr(InlinePool, "in_flight", [])
     monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
     return InlinePool
 
@@ -374,11 +406,123 @@ def test_run_point_rejects_bad_settings_before_any_chunk(setting, value, named,
 
 def test_pool_keeps_a_fixed_window_of_chunks_in_flight(inline_pool, monkeypatch):
     monkeypatch.setattr(sim, "usable_cpus", lambda: 8)
-    point = quick_point(ebno_db=-2.0, min_block_errors=3, max_frames=10**12, workers=2)
+    processes = 2
+    point = quick_point(ebno_db=-2.0, min_block_errors=3, max_frames=10**12, workers=processes)
     assert point.frames < sim.CHUNK_FRAMES  # stops inside the first chunk
-    assert inline_pool.sizes == [2]
-    window = 2 * 2 + 2  # two processes
-    assert inline_pool.submitted == [i * sim.CHUNK_FRAMES for i in range(window)]
+    assert inline_pool.sizes == [processes]
+    # the chunks it can still need are bounded when they are submitted, not cancelled later
+    assert len(inline_pool.submitted) <= 1 + processes
+    # a point that needs many chunks fills the window of 2 * processes, and no more
+    long_point = quick_point(ebno_db=4.0, min_block_errors=40, max_frames=10**12, workers=processes)
+    assert long_point == quick_point(ebno_db=4.0, min_block_errors=40, max_frames=10**12)
+    assert long_point.frames > 4 * sim.CHUNK_FRAMES
+    assert max(inline_pool.in_flight) == 2 * processes
+
+
+class LazyFuture(Future):
+    """A future whose result, when read, first runs its pool's queued calls."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.run_through(self)
+        return super().result(timeout)
+
+
+class LazyPool:
+    """Stands in for ProcessPoolExecutor: runs a call only when the sweep reads
+    its result or that of a later call, and then runs every queued call up to
+    that one, the newest first, so futures complete out of submission order.
+    Cancelled calls never run.
+
+    Records the (sigma2, start) of every call run, the sigma2 and future of
+    every call submitted, and the (sigma2, done, cancelled) of every future
+    when the pool exits.
+    """
+
+    ran: list = []
+    submitted: list = []
+    at_exit: list = []
+
+    def __init__(self, max_workers):
+        self.queue = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.at_exit.extend((sigma2, f.done(), f.cancelled()) for sigma2, f in self.submitted)
+        return False
+
+    def submit(self, fn, *args):
+        future = LazyFuture(self)
+        self.queue.append((future, fn, args))
+        self.submitted.append((args[3], future))
+        return future
+
+    def run_through(self, target):
+        count = next((i + 1 for i, (future, _, _) in enumerate(self.queue) if future is target), 0)
+        calls, self.queue = self.queue[:count], self.queue[count:]
+        for future, fn, args in reversed(calls):
+            if future.set_running_or_notify_cancel():
+                self.ran.append((args[3], args[5]))
+                try:
+                    future.set_result(fn(*args))
+                except RuntimeError as error:
+                    future.set_exception(error)
+
+
+@pytest.fixture
+def lazy_pool(monkeypatch):
+    for records in ("ran", "submitted", "at_exit"):
+        monkeypatch.setattr(LazyPool, records, [])
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 3)
+    return LazyPool
+
+
+def sigma2_of(descriptor, ebno_db):
+    return sim.channel.ebno_db_to_sigma2(ebno_db, sim._cached_code(descriptor).rate)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_out_of_order_completion_does_not_change_a_sweep(workers, lazy_pool):
+    config = dict(code="rm(3,1)xrm(2,1)", iterations=2, ebno_dbs=(-2.0, 4.0, 8.0),
+                  min_block_errors=20, max_frames=2000, seed=77)
+    in_process = sim.run_sweep(sim.SimConfig(**config))
+    first_chunk, several, capped = in_process
+    assert first_chunk.frames < sim.CHUNK_FRAMES and first_chunk.block_errors == 20
+    assert several.frames > 4 * sim.CHUNK_FRAMES and several.block_errors == 20
+    assert capped.frames == 2000 and capped.block_errors < 20  # seven chunks and 208 frames
+    assert sim.run_sweep(sim.SimConfig(**config, workers=workers)) == in_process
+    assert (lazy_pool.ran == []) == (workers == 1)
+    # a chunk submitted past a point's stopping frame is cancelled before it runs
+    stops = {sigma2_of(config["code"], p.ebno_db): p.frames for p in in_process}
+    assert all(start < stops[sigma2] for sigma2, start in lazy_pool.ran)
+
+
+def test_a_failing_chunk_cancels_every_pending_chunk_before_the_pool_exits(lazy_pool, monkeypatch):
+    sweep = sim.SimConfig(code="rm(3,1)xrm(2,1)", iterations=2, ebno_dbs=(4.0, 1.0, 2.0),
+                          min_block_errors=40, max_frames=10**12, seed=77, workers=3)
+    run_chunk = sim._run_chunk
+    raised_after = []
+
+    def chunk(*args):
+        if args[3] == sigma2_of(sweep.code, 1.0):
+            raised_after.append(len(lazy_pool.submitted))
+            raise RuntimeError("chunk failed")
+        return run_chunk(*args)
+
+    monkeypatch.setattr(sim, "_run_chunk", chunk)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        sim.run_sweep(sweep)
+    assert raised_after == [len(lazy_pool.submitted)]  # nothing was submitted after the raise
+    pending = [(sigma2, cancelled) for sigma2, done, cancelled in lazy_pool.at_exit
+               if cancelled or not done]
+    assert {sigma2 for sigma2, _ in pending} == {sigma2_of(sweep.code, 4.0), sigma2_of(sweep.code, 2.0)}
+    assert all(cancelled for _, cancelled in pending)
 
 
 def test_failed_write_leaves_existing_output_untouched(tmp_path, monkeypatch):
