@@ -6,7 +6,8 @@ memory, the block it writes in that layout (`out=` if given, else a fresh
 array that the caller owns) and the array it returns.  A component decoder's
 `out` may be its input itself, so product-tensor fibers are decoded in place
 along any axis.  Full-size work arrays come from `workspace`, one set per
-thread and size, so a steady-state decode faults no work array in.
+thread and size, so a steady-state decode faults no work array in.  The FHT
+runs its stages in the layout of the block it writes, whatever the input's.
 
 In hard product decoding every component call after the first sees +-1
 fibers, the codewords the previous axis decided.  Both hard decoders (here
@@ -35,10 +36,10 @@ def workspace(size):
     """This thread's two flat float64 work arrays of `size` elements, cached
     for the last few (size, thread) pairs.  Each nesting level owns one:
     [0] a component decoder's spectra (and the soft decoder's info LLRs),
-    [1] a step kernel's scratch (the FHT's ping-pong partner, |S|, the
-    min-sum magnitudes and signs, the hard decoders' bits).  A hard decoder's
-    +-1 check borrows both before its kernel runs.  Keying by thread keeps
-    concurrent decodes apart, as numpy releases the GIL.
+    [1] a step kernel's scratch (the FHT's ping-pong partner, laid out as the
+    block it writes; |S|, the min-sum magnitudes and signs, the hard decoders'
+    bits).  A hard decoder's +-1 check borrows both before its kernel runs.
+    Keying by thread keeps concurrent decodes apart, as numpy releases the GIL.
     """
     return _workspace(size, threading.get_ident())
 
@@ -96,29 +97,44 @@ def fht(values, counter=None, out=None):
     log2(n) butterfly stages, each doing exactly n additions/subtractions per
     fiber; applying it twice returns n times the input.  Does not mutate the
     input; returns a float64 array of the same shape, `out` if given (it must
-    not overlap the input).  The stages alternate between the result and a
-    workspace partner, so that the last one lands in the result.
+    not overlap the input).  The passes alternate between the written block
+    and a workspace partner laid out like it, the last landing in the written
+    block.  The low m//2 index bits are transformed first, then the rest; each
+    group starts with a pass that copies the data with its index bits rotated
+    so that the group's bits are the slowest, so no stage pairs runs shorter
+    than 2^(m//2) entries of the fiber axis.
     """
+    if out is not None and np.may_share_memory(values, out):
+        raise ValueError("fht's out must not overlap its input")
     block, written, result = fiber_block(values, out=out)
     pre, n, post = block.shape
     if n == 0 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
     m = n.bit_length() - 1
-    buffers = (written, workspace(block.size)[1].reshape(block.shape))
-    source = block
-    for stage in range(m):
-        shape = (pre, n >> (stage + 1), 2, 1 << stage, post)
-        pairs = source.reshape(shape)
-        into = buffers[(m - 1 - stage) % 2].reshape(shape, copy=False)  # splits one axis: a view
-        np.add(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 0])
-        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 1])
-        source = buffers[(m - 1 - stage) % 2]
-    if not m:
-        written[...] = block
+    buffers = (written, _laid_out_like(workspace(block.size)[1], written))
+    source, turn = block, (m + 1) % 2  # m + 2 passes, the last into `written`
+    for low in (m // 2, m - m // 2):
+        # rotate the index bits right by `low`: the bits transformed next become the slowest
+        into = buffers[turn].reshape((pre, 1 << low, n >> low, post), copy=False)
+        into[...] = source.reshape(pre, n >> low, 1 << low, post).swapaxes(1, 2)
+        source, turn = buffers[turn], 1 - turn
+        for stage in range(m - low, m):
+            shape = (pre, n >> (stage + 1), 2, 1 << stage, post)
+            pairs = source.reshape(shape)
+            into = buffers[turn].reshape(shape, copy=False)  # splits one axis: a view
+            np.add(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 0])
+            np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 1])
+            source, turn = buffers[turn], 1 - turn
     if counter is not None:
         counter.add_sub += pre * post * n * m
         counter.depth += m
     return result
+
+
+def _laid_out_like(flat, block):
+    """The head of a flat array in `block`'s shape, its axes in memory in `block`'s order."""
+    order = np.argsort(block.strides)[::-1]
+    return flat[: block.size].reshape(np.take(block.shape, order)).transpose(np.argsort(order))
 
 
 def _sign_indices(block):

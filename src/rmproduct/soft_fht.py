@@ -56,7 +56,8 @@ def info_bit_llrs_batch(spectra, code, counter=None, out=None) -> np.ndarray:
 
 def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarray:
     """Min-sum LLRs of the n code positions along the last axis of (..., m+1)
-    LLRs, into `out` if given.
+    LLRs, into `out` if given (it may overlap the LLRs: all of them are read
+    first).
 
     Position x is fed by the all-one row and the row of each set bit of x, so
     from the all-one row each bit doubles the prefix with min(prefix, |L_b|)
@@ -82,16 +83,22 @@ def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarra
 def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     """Full SISO pipeline along the last axis of a (..., n) LLR array, into
     `out` if given (it may be `llrs`).  The spectra, and then the info-bit
-    LLRs over them, lie at the head of the component decoders' workspace
-    array in the block's own (pre, n, post) layout; each step gets (pre, post, n) views."""
+    LLRs over them, lie at the head of the component decoders' workspace array
+    laid out (n, pre * post) and (k, pre * post), whatever the block's layout,
+    so every step over them runs pre * post contiguous entries however few
+    frames a chunk has.  The min-sum step reads the k info rows from the head
+    of the written block, where they are moved in its layout, and writes the
+    n positions over them.  Each step gets (pre, post, n) views."""
     block, written, result = fiber_block(llrs, code.n, out)
-    pre, _, post = block.shape
+    pre, n, post = block.shape
     spare = workspace(block.size)[0]
-    spectra = spare[: block.size].reshape(block.shape).swapaxes(1, 2)
-    info = spare[: pre * code.k * post].reshape(pre, code.k, post).swapaxes(1, 2)
+    spectra = spare[: block.size].reshape(n, pre, post).transpose(1, 2, 0)
+    info = spare[: code.k * pre * post].reshape(code.k, pre, post).transpose(1, 2, 0)
     fht(block.swapaxes(1, 2), counter, out=spectra)
     info_bit_llrs_batch(spectra, code, counter, out=info)
-    encoded_bit_llrs_batch(info, code, counter, out=written.swapaxes(1, 2))
+    moved = written[:, : code.k]
+    moved[...] = info.swapaxes(1, 2)
+    encoded_bit_llrs_batch(moved.swapaxes(1, 2), code, counter, out=written.swapaxes(1, 2))
     return result
 
 

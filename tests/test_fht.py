@@ -56,6 +56,16 @@ def test_does_not_mutate_input():
     assert np.array_equal(v, np.ones(8))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rejects_an_out_that_overlaps_the_input(m):
+    values = np.random.default_rng(m).normal(size=(2, 1 << m))
+    before = values.copy()
+    for out in (values, values[::-1]):  # the input itself, and its rows in reverse
+        with pytest.raises(ValueError, match="overlap"):
+            fht(values, out=out)
+        assert np.array_equal(values, before)
+
+
 def test_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         fht([1.0, 2.0, 3.0])

@@ -267,6 +267,43 @@ def test_decoders_write_over_their_input_what_they_return(decoder, m, r, case):
         assert np.array_equal(fibers, expected), layout
 
 
+# (m, pre, post) of (pre, n, post) blocks, seen as (pre, post, n) views, of at
+# most 2^20 entries: at m = 1 and 2 the k info rows outnumber half the n
+BLOCKS = [(m, pre, post) for m in range(1, 13) for pre in (1, 4, 8) for post in (1, 8, 256)
+          if pre * post << m <= 1 << 20]
+
+
+def _block_view(m, pre, post):
+    """A C-ordered (pre, n, post) block of LLRs seen as (pre, post, n), and
+    its fibers one at a time as (pre * post, n) rows."""
+    block = _values(np.random.default_rng(m * 1000 + pre * 10 + post),
+                    KINDS[m % len(KINDS)], (pre, 1 << m, post))
+    view = block.swapaxes(1, 2)
+    return view, view.reshape(-1, 1 << m)
+
+
+@pytest.mark.parametrize("m, pre, post", BLOCKS)
+def test_fht_writes_any_out_layout_as_it_transforms_each_fiber(m, pre, post):
+    view, fibers = _block_view(m, pre, post)
+    per_fiber = np.stack([fht(fiber) for fiber in fibers])
+    assert np.array_equal(per_fiber, _rows_fht(fibers))
+    c_ordered = np.empty(view.shape)
+    fiber_major = np.empty((1 << m, pre, post)).transpose(1, 2, 0)  # laid out (n, pre, post)
+    for out in (c_ordered, fiber_major):
+        assert fht(view, out=out) is out
+        assert np.array_equal(out.reshape(-1, 1 << m), per_fiber)
+
+
+@pytest.mark.parametrize("m, pre, post", BLOCKS)
+def test_soft_fht_decodes_a_block_in_place_as_it_decodes_each_fiber(m, pre, post):
+    code = rm_core.build_rm_code(m, 1)
+    view, fibers = _block_view(m, pre, post)
+    per_fiber = np.stack([soft_fht_decode_batch(fiber, code) for fiber in fibers])
+    assert np.array_equal(per_fiber, _rows_soft(fibers, code))
+    assert soft_fht_decode_batch(view, code, out=view) is view
+    assert np.array_equal(view.reshape(-1, 1 << m), per_fiber)
+
+
 @pytest.mark.parametrize("decoder, m, r", [
     (fht_ml_decode_batch, 2, 1),
     (fht_ml_decode_batch, 3, 1),

@@ -189,6 +189,26 @@ def test_soft_map_keeps_one_score_block_beside_the_scores():
     assert peak < scores + 4 * 2**20, peak - scores
 
 
+@pytest.mark.parametrize("descriptor, frames, bound", [
+    ("rm(11,1)xrm(3,2):bfmap", 8, 2.0),  # pre = 8, post = 8
+    ("rm(6,1)xrm(2,1)", 256, 4.0),  # pre = 4, post = 256
+])
+def test_soft_fht_decode_in_place_makes_no_full_size_temporary(descriptor, frames, bound):
+    code = product_code_from_descriptor(descriptor)
+    axis = len(code.tensor_shape) - 1  # component 1, as the product decoder stores it
+    tensor = np.random.default_rng(71).normal(size=code.tensor_shape + (frames,))
+    view = np.moveaxis(tensor, axis, -1)
+    first = code.components[0].code
+    soft_fht_decode_batch(view, first, out=view)  # fills the workspace
+    tracemalloc.start()  # numpy reports its data buffers to tracemalloc
+    try:
+        soft_fht_decode_batch(view, first, out=view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * tensor.size, peak / tensor.size  # bytes per entry; float64 is 8
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("decoder, order", [
     (soft_fht_decode_batch, 1),
