@@ -9,10 +9,11 @@ along any axis.  Full-size work arrays come from `workspace`, one set per
 thread and size, so a steady-state decode faults no work array in.  The FHT
 runs its stages in the layout of the block it writes, whatever the input's.
 
-In hard product decoding every component call after the first sees +-1
-fibers, the codewords the previous axis decided.  Both hard decoders (here
-and in `soft_fht`) serve such calls on a small code from a table of their
-own decisions on all 2^n +-1 words (`hard_decode`).
+Both hard decoders (here and in `soft_fht`) read float LLRs or uint8 codeword
+bits and write uint8 codeword bits.  In hard product decoding every component
+call after the first reads the bits the previous axis decided; on a small code
+they are served from a table of the decoder's own decisions on all 2^n +-1
+words (`hard_decode`).
 """
 
 import math
@@ -22,8 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import bpsk_modulate
+from .rm_core import encode_batch
 
-MAX_TABLE_BITS = 21  # a hard decoder is tabulated on +-1 words when 2^(n+k) <= 2^21
+MAX_TABLE_BITS = 21  # a hard decoder is tabulated on bit words when 2^(n+k) <= 2^21
 TABLE_BLOCK_SIZE = 1 << 17  # entries of the largest per-word array in one table-build block
 
 
@@ -37,25 +39,27 @@ def workspace(size):
     for the last few (size, thread) pairs.  Each nesting level owns one:
     [0] a component decoder's spectra (and the soft decoder's info LLRs),
     [1] a step kernel's scratch (the FHT's ping-pong partner, laid out as the
-    block it writes; |S|, the min-sum magnitudes and signs, the hard decoders'
-    bits).  A hard decoder's +-1 check borrows both before its kernel runs.
-    Keying by thread keeps concurrent decodes apart, as numpy releases the GIL.
+    block it writes; |S|, the min-sum magnitudes and signs).  Keying by
+    thread keeps concurrent decodes apart, as numpy releases the GIL.
     """
     return _workspace(size, threading.get_ident())
 
 
-def fiber_block(values, length=None, out=None, width=None):
+def fiber_block(values, length=None, out=None, width=None, dtype=np.float64):
     """The last axis of `values` as the middle axis of a (pre, n, post) block,
-    with the (pre, width, post) block a kernel writes (width defaults to n)
-    and the (..., width) array it returns in the input's axis order.
+    with the (pre, width, post) block of `dtype` a kernel writes (width
+    defaults to n) and the (..., width) array it returns in the input's axis
+    order.  The values are read as float64, or kept as uint8 bits when a uint8
+    block is written.
 
     Axes go into memory order, so for any axis permutation of a C-ordered
     array the reshape is a view.  The written block is `out` seen through the
-    same transpose (a float64 array of the input's leading shape that takes
-    the reshape as a view, such as the input itself), else a fresh C-ordered
-    block; returns (block, written, result).
+    same transpose (an array of `dtype` and the input's leading shape whose
+    axes lie in memory in the input's order, such as the input itself), else
+    a fresh C-ordered block; returns (block, written, result).
     """
-    a = np.asarray(values, dtype=np.float64)
+    a = np.asarray(values)
+    a = a if a.dtype == dtype == np.uint8 else a.astype(np.float64, copy=False)
     if length is not None and a.shape[-1] != length:
         raise ValueError(f"fibers have length {a.shape[-1]}, expected {length}")
     order = sorted(range(a.ndim - 1), key=lambda axis: -a.strides[axis])
@@ -67,28 +71,15 @@ def fiber_block(values, length=None, out=None, width=None):
     block = moved.reshape(pre, a.shape[-1], post)
     shape = a.shape[:-1] + (a.shape[-1] if width is None else width,)
     if out is not None:
-        if out.dtype != np.float64 or out.shape != shape:
-            raise ValueError(f"out must be float64 of shape {shape}, got {out.dtype} {out.shape}")
-        return block, out.transpose(perm).reshape((pre, shape[-1], post), copy=False), out
-    written = np.empty((pre, shape[-1], post))
+        if out.dtype != dtype or out.shape != shape:
+            raise ValueError(f"out must be {np.dtype(dtype)} of shape {shape}, got {out.dtype} {out.shape}")
+        try:
+            return block, out.transpose(perm).reshape((pre, shape[-1], post), copy=False), out
+        except ValueError:
+            raise ValueError(f"out must lay out its axes in memory as the input does, "
+                             f"{tuple(perm)} from slowest to fastest") from None
+    written = np.empty((pre, shape[-1], post), dtype=dtype)
     return block, written, written.reshape(outer + shape[-1:] + inner).transpose(np.argsort(perm))
-
-
-def prefix_butterfly(op, first, rows, out=None):
-    """Re-expand (pre, 1, post) `first` and (pre, m, post) `rows` to (pre, 2^m, post),
-    into `out` if given, else into a fresh array in the dtype of `first`.
-
-    Each row, the last one first, doubles the prefix to op(prefix, row), so
-    row b feeds the positions with bit 2^(m-1-b) set, as info bit b+1 of RM(m, 1).
-    """
-    pre, m, post = rows.shape
-    if out is None:
-        out = np.empty((pre, 1 << m, post), dtype=first.dtype)
-    out[:, :1] = first
-    for b in range(m - 1, -1, -1):
-        width = 1 << (m - 1 - b)
-        op(out[:, :width], rows[:, b : b + 1], out=out[:, width : 2 * width])
-    return out
 
 
 def fht(values, counter=None, out=None):
@@ -137,26 +128,25 @@ def _laid_out_like(flat, block):
     return flat[: block.size].reshape(np.take(block.shape, order)).transpose(np.argsort(order))
 
 
-def _sign_indices(block):
-    """(pre, post) index of each +-1 fiber of a (pre, n, post) block, with bit j
-    set when position j is -1; exact, since every partial sum is an integer."""
-    n = block.shape[1]
-    return ((1 << n) - 1 - np.matmul(1 << np.arange(n), block)).astype(np.intp) >> 1
+def _word_indices(bits):
+    """(pre, post) uint16 index of each fiber of a (pre, n, post) uint8 bit
+    block, with bit j from position j."""
+    shifts = np.arange(bits.shape[1], dtype=np.uint16)[:, None]
+    return np.bitwise_or.reduce(np.left_shift(bits, shifts, dtype=np.uint16), axis=1)
 
 
-def _pm1_fibers(indices, n, out=None):
-    """The (pre, n, post) +-1 fibers of (pre, post) uint16 sign indices, -1 at
-    the set bits, into `out` if given; the bits are formed in the workspace scratch."""
-    pre, post = indices.shape
-    bits = workspace(pre * n * post)[1].view(np.uint16)[: pre * n * post].reshape(pre, n, post)
-    np.right_shift(indices[:, None, :], np.arange(n, dtype=np.uint16)[:, None], out=bits)
-    bits &= 1
-    return bpsk_modulate(bits, out)
+def _word_bits(indices, out):
+    """Bit j of each (pre, post) word index, into position j of the (pre, n,
+    post) uint8 block `out`."""
+    shifts = np.arange(out.shape[1], dtype=np.uint16)[:, None]
+    np.right_shift(indices[:, None, :], shifts, out=out, casting="unsafe")
+    out &= 1
 
 
 @lru_cache(maxsize=None)
 def _hard_table(code, kernel):
-    """Sign index of `kernel`'s decision on each +-1 word, by the word's sign index.
+    """Word index of `kernel`'s decision on each +-1 word, by the word's index
+    (bit j set where position j is -1).
 
     Built a block of TABLE_BLOCK_SIZE >> max(m, k) words at a time, so that
     the words, their spectra or their 2^k correlations stay near 1 MiB; the
@@ -167,71 +157,63 @@ def _hard_table(code, kernel):
     step = TABLE_BLOCK_SIZE >> max(code.m, code.k)
     for start in range(0, words, step):
         index = np.arange(start, min(words, start + step), dtype=np.uint16)[:, None]  # post = 1
-        fibers = _pm1_fibers(index, code.n)
-        decided = np.empty(fibers.shape)
-        kernel(fibers, code, decided)
-        table[start : start + step] = _sign_indices(decided)[:, 0]
+        bits = np.empty((len(index), code.n, 1), dtype=np.uint8)
+        _word_bits(index, bits)
+        kernel(bpsk_modulate(bits), code, bits)
+        table[start : start + step] = _word_indices(bits)[:, 0]
     table.setflags(write=False)  # shared by every caller in the process
     return table
 
 
-def _all_pm1(block):
-    """Whether every entry of a (pre, n, post) block is +-1; the first fiber
-    is checked first, so channel LLRs fall through after O(n)."""
-    if not block.size or np.any(np.abs(block[0, :, 0]) != 1.0):
-        return False
-    spare, scratch = workspace(block.size)
-    magnitudes = np.abs(block, out=scratch.reshape(block.shape))
-    return np.equal(magnitudes, 1.0, out=spare.view(np.bool_)[: block.size].reshape(block.shape)).all()
-
-
 def hard_decode(llrs, code, kernel, out=None):
-    """Hard decisions along the last axis of (..., n) LLRs by `kernel`, which
-    writes the +-1 codewords of a (pre, n, post) fiber block into a block
-    given as its third argument; into `out` if given (it may be `llrs`).
+    """Hard decisions along the last axis of (..., n) float LLRs or uint8
+    bits by `kernel`, which writes the codeword bits of a (pre, n, post) float
+    fiber block into a uint8 block given as its third argument; into `out` if
+    given (it may be `llrs`).
 
-    When every entry is +-1 and 2^(n+k) <= 2^MAX_TABLE_BITS, the fibers are
+    The input's dtype and the code's size pick the path, never its values.
+    LLRs run the kernel.  Bits of a code with 2^(n+k) <= 2^MAX_TABLE_BITS are
     served from a table of the kernel's own decisions on all 2^n +-1 words,
-    built once per code, so every tie breaks as the kernel breaks it.  Both
-    paths read all of the input before they write the output.
+    built once per code, so every tie breaks as the kernel breaks it; bits of
+    a larger code run the kernel on their +-1 words.  Every path reads all of
+    the input before it writes the output.
     """
-    block, written, result = fiber_block(llrs, code.n, out)
-    if code.n + code.k <= MAX_TABLE_BITS and _all_pm1(block):
-        _pm1_fibers(np.take(_hard_table(code, kernel), _sign_indices(block)), code.n, written)
+    block, written, result = fiber_block(llrs, code.n, out, dtype=np.uint8)
+    if block.dtype == np.uint8 and code.n + code.k <= MAX_TABLE_BITS:
+        _word_bits(np.take(_hard_table(code, kernel), _word_indices(block)), written)
     else:
-        kernel(block, code, written)
+        kernel(block if block.dtype == np.float64 else bpsk_modulate(block), code, written)
     return result
 
 
 def _ml_kernel(block, code, written):
-    """Hard ML codewords of a (pre, n, post) block, into `written`: the
+    """Hard ML codeword bits of a (pre, n, post) block, into `written`: the
     spectrum entry of largest magnitude (ties to the smallest index, zero sign
-    treated as positive) names the information word.  The magnitudes are laid
-    out fiber-major, (pre, post, n), so that argmax reads them in place."""
+    treated as positive) names the information word, which is encoded.  The
+    magnitudes are laid out fiber-major, (pre, post, n), so that argmax reads
+    them in place."""
     pre, n, post = block.shape
-    spectra, scratch = workspace(block.size)
-    spectra = spectra.reshape(block.shape)
+    spectra = workspace(block.size)[0].reshape(block.shape)
     fht(block.swapaxes(1, 2), out=spectra.swapaxes(1, 2))
-    magnitudes = np.abs(spectra.swapaxes(1, 2), out=scratch.reshape(pre, post, n))
+    magnitudes = np.abs(spectra.swapaxes(1, 2), out=workspace(block.size)[1].reshape(pre, post, n))
     index = np.argmax(magnitudes, axis=2)
     peak = np.take_along_axis(spectra, index[:, None, :], axis=1)[:, 0]
-    infos = np.empty((pre, code.m + 1, post), dtype=np.uint8)
+    infos = np.empty((pre, code.k, post), dtype=np.uint8)
     infos[:, 0] = peak < 0.0
-    for b in range(code.m):  # MSB first
-        infos[:, b + 1] = (index >> (code.m - 1 - b)) & 1
-    bits = scratch.view(np.uint8)[: block.size].reshape(block.shape)  # over the read magnitudes
-    bpsk_modulate(prefix_butterfly(np.bitwise_xor, infos[:, :1], infos[:, 1:], bits), written)
+    _word_bits(index, infos[:, :0:-1])  # bit j of the index is info bit m - j: MSB first
+    written[...] = np.moveaxis(encode_batch(code, np.moveaxis(infos, 1, -1)), -1, 1)
 
 
 def fht_ml_decode_batch(llrs, code, counter=None, out=None):
-    """Hard ML decoding along the last axis of a (..., n) LLR array.
+    """Hard ML decoding along the last axis of (..., n) float LLRs or uint8
+    codeword bits.
 
     Picks the spectrum entry of largest magnitude (ties to the smallest index,
-    zero sign treated as positive); returns the +-1 codewords (..., n), in
-    `out` if given (it may be `llrs`).  A call whose entries are all +-1 on a
-    code with 2^(n+k) <= 2^21 (rm(1,1) to rm(4,1)) is served from a table of
-    these decisions on all 2^n +-1 words (see `hard_decode`); it counts the
-    operations of the transform and the search all the same.
+    zero sign treated as positive); returns the uint8 codeword bits (..., n),
+    in uint8 `out` if given (it may be `llrs`).  Bits are read as the +-1 words
+    1 - 2c; on a code with 2^(n+k) <= 2^21 (rm(1,1) to rm(4,1)) they are served
+    from a table of these decisions on all 2^n +-1 words (see `hard_decode`).
+    Every call counts the operations of the transform and the search.
     """
     decided = hard_decode(llrs, code, _ml_kernel, out)
     if counter is not None:

@@ -5,7 +5,8 @@ array and encodes along each axis with that axis' component encoder; every
 axis-q fiber of the result is a codeword of component q.  Decoding sweeps the
 axes in component order, replacing each fiber's LLRs with the component
 decoder's output, and repeats for a configured number of iterations before
-the final sign decision.
+the final sign decision.  In hard mode the output is codeword bits, which
+every later component call reads.
 
 Tensor layout: shape (n_Q, ..., n_2, n_1) with component 1 on the last
 (fastest-varying) axis; vectors are the row-major serialization of that
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rm_core, soft_fht
+from .channel import bpsk_modulate
 from .fht import fht_ml_decode_batch
 from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
@@ -135,14 +137,15 @@ def product_recover_batch(code: ProductCode, words) -> np.ndarray:
                        rm_core.recover_batch).reshape(lead + (code.k_t,))
 
 
-def _decode_fibers(comp: Component, fibers: np.ndarray, mode: str, counter) -> None:
-    """Run the component decoder along the last axis of `fibers`, a view of
-    the tensor, writing its output back into that view."""
+def _decode_fibers(comp: Component, source, written, axis: int, mode: str, counter) -> None:
+    """Run the component decoder along `axis` of the tensor `source`, writing
+    its output into the same fibers of `written`, a tensor of the decoder's
+    output dtype laid out as `source` (it may be `source`)."""
     if comp.decoder == BF_MAP:
         decoder = brute_force_soft_map_batch if mode == SOFT else brute_force_ml_decode_batch
     else:
         decoder = soft_fht_decode_batch if mode == SOFT else fht_ml_decode_batch
-    decoder(fibers, comp.code, counter, out=fibers)
+    decoder(np.moveaxis(source, axis, -1), comp.code, counter, out=np.moveaxis(written, axis, -1))
 
 
 def product_decode_batch(code: ProductCode, received, sigma2: float,
@@ -153,7 +156,9 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
     (...) + tensor_shape), both owned by the caller; the LLRs are the tensor
     the decoder worked in, with the frames on the smallest stride.  Fibers
     along one axis are decoded as a single batch, in place on a view of the
-    tensor; axes and iterations are sequential.
+    tensor; axes and iterations are sequential.  In hard mode the first call
+    decodes the LLR tensor into a uint8 tensor laid out as it, every later
+    call decodes that in place, and the final LLRs are its bits as +-1.
     """
     if sigma2 <= 0:
         raise ValueError(f"noise variance must be positive, got {sigma2}")
@@ -171,8 +176,12 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
     # kernel then runs long inner loops
     llrs = np.multiply(2.0 / sigma2, received.T, order="C")
     tensor = np.moveaxis(llrs.reshape(code.tensor_shape + (count,)), -1, 0)
-    for _ in range(iterations):
+    written = tensor if mode == SOFT else np.empty_like(tensor, dtype=np.uint8)
+    for iteration in range(iterations):
         for index, comp in enumerate(code.components):
-            _decode_fibers(comp, np.moveaxis(tensor, -1 - index, -1), mode, counter)
-    decided = (tensor < 0.0).reshape(lead + (code.n_t,)).view(np.uint8)  # sign(0) = +1 maps to bit 0
-    return decided, tensor.reshape(lead + code.tensor_shape)
+            source = tensor if iteration == index == 0 else written
+            _decode_fibers(comp, source, written, -1 - index, mode, counter)
+    decided = written if mode == HARD else (tensor < 0.0).view(np.uint8)  # sign(0) = +1 maps to bit 0
+    if mode == HARD:
+        bpsk_modulate(written, out=tensor)  # the decisions, as +-1 LLRs
+    return decided.reshape(lead + (code.n_t,)), tensor.reshape(lead + code.tensor_shape)

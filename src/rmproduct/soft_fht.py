@@ -9,7 +9,8 @@ the component decoder for small codes of order above one; on the
 single-parity-check codes rm(m, m-1) it takes the min-sum check-node rule,
 the exact max-log MAP of one parity check (Hagenauer, Offer, Papke, IEEE
 Trans. Inf. Theory, 1996), in O(n) per fiber.  Every kernel takes `out=` as
-those in `fht` do.
+those in `fht` do; the soft decoders return float64 LLRs, and the exhaustive
+hard ML decoder returns uint8 codeword bits, as `fht`'s does.
 """
 
 from functools import lru_cache
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import rm_core
 from .channel import bpsk_modulate
-from .fht import fht, fiber_block, hard_decode, prefix_butterfly, workspace
+from .fht import fht, fiber_block, hard_decode, workspace
 
 MAX_BF_DIM = 16
 SCORE_BLOCK_SIZE = 1 << 17  # scores per codeword-major block copy (1 MiB): 1,024 fibers at k = 7
@@ -52,6 +53,23 @@ def info_bit_llrs_batch(spectra, code, counter=None, out=None) -> np.ndarray:
         counter.add_sub += pre * post * (1 + m)
         counter.depth += m + 1
     return result
+
+
+def prefix_butterfly(op, first, rows, out=None):
+    """Re-expand (pre, 1, post) `first` and (pre, m, post) `rows` to (pre, 2^m, post),
+    into `out` if given, else into a fresh array in the dtype of `first`.
+
+    Each row, the last one first, doubles the prefix to op(prefix, row), so
+    row b feeds the positions with bit 2^(m-1-b) set, as info bit b+1 of RM(m, 1).
+    """
+    pre, m, post = rows.shape
+    if out is None:
+        out = np.empty((pre, 1 << m, post), dtype=first.dtype)
+    out[:, :1] = first
+    for b in range(m - 1, -1, -1):
+        width = 1 << (m - 1 - b)
+        op(out[:, :width], rows[:, b : b + 1], out=out[:, width : 2 * width])
+    return out
 
 
 def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarray:
@@ -209,22 +227,23 @@ def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray
 
 
 def _ml_kernel(block, code, written):
-    """Exhaustive hard ML codewords of a (pre, n, post) block, into `written`,
-    ties to the lowest codeword index."""
+    """Exhaustive hard ML codeword bits of a (pre, n, post) block, into
+    `written`, ties to the lowest codeword index."""
     signs, _ = _codebook(code)
     best = np.argmax(_correlations(block, signs), axis=-1)
-    written[...] = signs[best[:, None, :], np.arange(code.n)[:, None]]  # (pre, n, post)
+    written[...] = signs[best[:, None, :], np.arange(code.n)[:, None]] < 0.0  # (pre, n, post)
 
 
 def brute_force_ml_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
-    """Exhaustive hard ML along the last axis of (..., n) LLRs, over any small
-    code (ties to the lowest codeword index); returns the +-1 codewords (..., n),
-    in `out` if given (it may be `llrs`).
+    """Exhaustive hard ML along the last axis of (..., n) float LLRs or uint8
+    codeword bits, over any small code (ties to the lowest codeword index);
+    returns the uint8 codeword bits (..., n), in uint8 `out` if given (it may
+    be `llrs`).
 
-    A call whose entries are all +-1 on a code with 2^(n+k) <= 2^21 (every
-    rm(2,r) and rm(3,r), rm(4,0) and rm(4,1)) is served from a table of these
-    decisions on all 2^n +-1 words (see `fht.hard_decode`); it counts the
-    operations of the exhaustive search all the same.
+    Bits are read as the +-1 words 1 - 2c; on a code with 2^(n+k) <= 2^21
+    (every rm(2,r) and rm(3,r), rm(4,0) and rm(4,1)) they are served from a
+    table of these decisions on all 2^n +-1 words (see `fht.hard_decode`).
+    Every call counts the operations of the exhaustive search.
     """
     check_exhaustive_size(code)
     decided = hard_decode(llrs, code, _ml_kernel, out)

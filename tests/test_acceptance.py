@@ -69,7 +69,7 @@ def test_criterion_1_hard_ml_oracle_equivalence():
         code = rm_core.build_rm_code(m, 1)
         rng = np.random.default_rng(SEED + m)
         block = rng.normal(size=(1000, code.n)) * 2.0
-        decoded = fht_ml_decode_batch(block, code) < 0.0
+        decoded = fht_ml_decode_batch(block, code)  # codeword bits
         scores, words = exhaustive_scores(block, code)
         top_two = -np.sort(-scores, axis=1)[:, :2]
         unique = top_two[:, 0] > top_two[:, 1]
@@ -101,7 +101,7 @@ def test_criterion_3_sign_accordance():
         rng = np.random.default_rng(SEED + 20 + m)
         block = rng.normal(size=(10_000, code.n)) * 1.5
         soft_hard = (soft_fht_decode_batch(block, code) < 0).astype(np.uint8)
-        ml_hard = (fht_ml_decode_batch(block, code) < 0).astype(np.uint8)
+        ml_hard = fht_ml_decode_batch(block, code)  # codeword bits
         scores, _ = exhaustive_scores(block, code)
         top_two = -np.sort(-scores, axis=1)[:, :2]
         unique = top_two[:, 0] > top_two[:, 1]

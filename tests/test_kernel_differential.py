@@ -8,15 +8,17 @@ run checks the same examples.  The brute-force kernels and the encoder take
 the same inputs and are checked against row-by-row calls, and the soft-MAP
 against a mask-gather oracle on fiber counts around its score blocks, and on
 the single-parity-check codes, where it takes a closed form, against the
-exhaustive oracle on every layout.  The
-hard decoders serve +-1 fibers of small codes from tables of their own
-decisions; on all 2^n +-1 words, in every layout, the table answers are
-checked against the kernels' answers on the same words halved.  Every
+exhaustive oracle on every layout.  The hard decoders read LLRs or bits and
+return codeword bits.  They serve the bits of small codes from tables of their
+own decisions: on all 2^n bit words, in every layout, the table answers are
+checked against the kernels' answers on the same words as +-1 LLRs, and bits
+of codes too large to tabulate take the kernel on their +-1 words.  Every
 component decoder, on the kernel and on the table path, must write over its
-input with `out=` exactly what it returns without it, in every layout.  The
-product decoder is checked bit for bit against the row-by-row decoder it
-replaced (index-set max-log, min-sum over generator column supports, a copy
-of each axis' fibers), kept here as a reference.
+input with `out=` exactly what it returns without it, in every layout: the
+soft decoders over LLRs, the hard decoders over bits.  The product decoder is
+checked bit for bit against the row-by-row decoder it replaced (index-set
+max-log, min-sum over generator column supports, a copy of each axis'
+fibers), kept here as a reference.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from oracles import exhaustive_code_llrs, product_rows_generator
 from rmproduct import rm_core
+from rmproduct.channel import bpsk_modulate
 import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
@@ -76,7 +79,7 @@ def _lay_out(fibers, layout, shape):
     if layout == "1d":
         return fibers[0]
     if layout == "strided":
-        spaced = np.zeros((2 * fibers.shape[0], n))
+        spaced = np.zeros((2 * fibers.shape[0], n), dtype=fibers.dtype)
         spaced[::2] = fibers
         return spaced[::2]
     dims, axis = int(layout[4]), int(layout[-1])
@@ -206,7 +209,7 @@ def test_hard_ml_matches_dense_argmax(m, case):
     for layout in LAYOUTS:
         got = _as_fibers(fht_ml_decode_batch(_lay_out(llrs, layout, shape),
                                              rm_core.build_rm_code(m, 1)), layout)
-        assert np.array_equal(got, 1.0 - 2.0 * codewords[: len(got)]), layout
+        assert got.dtype == np.uint8 and np.array_equal(got, codewords[: len(got)]), layout
 
 
 def _table_lookups():
@@ -214,9 +217,9 @@ def _table_lookups():
     return info.hits + info.misses
 
 
-def _pm1_words(n):
-    """All 2^n +-1 words of length n; word i is -1 at the set bits of i."""
-    return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+def _bit_words(n):
+    """All 2^n uint8 words of length n; word i has bit j of i at position j."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
 @pytest.mark.parametrize("decoder, m, r", [
@@ -224,23 +227,26 @@ def _pm1_words(n):
     (fht_ml_decode_batch, 2, 1),
     (fht_ml_decode_batch, 3, 1),
     (fht_ml_decode_batch, 4, 1),
+    (fht_ml_decode_batch, 5, 1),  # 2^(n+k) > 2^21: never tabulated
     (brute_force_ml_decode_batch, 3, 1),
     (brute_force_ml_decode_batch, 3, 2),
+    (brute_force_ml_decode_batch, 4, 2),  # never tabulated
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_hard_decoders_serve_pm1_words_as_their_kernel_decides_them(decoder, m, r):
-    # +-1 input is served from a table; halved, the same words take the kernel
-    # path, and halving is exact, so every decision and tie must agree
+    # bits of a small code are served from a table, and bits of a larger one
+    # take the kernel; as +-1 LLRs the same words always take the kernel, and
+    # their sums are exact, so every decision and tie must agree
     code = rm_core.build_rm_code(m, r)
-    words = _pm1_words(code.n)
+    tabulated = code.n + code.k <= fht_module.MAX_TABLE_BITS
+    words = (_bit_words(code.n) if tabulated
+             else np.random.default_rng(m).integers(0, 2, (512, code.n), dtype=np.uint8))
     lookups = _table_lookups()
     for layout in LAYOUTS:
         fibers = _lay_out(words, layout, (2, len(words) // 2))
-        assert np.array_equal(decoder(fibers, code), decoder(0.5 * fibers, code)), layout
-    assert _table_lookups() == lookups + len(LAYOUTS)  # one lookup a layout: halved, the kernel
-    # a block that is +-1 only in its first fiber takes the kernel; even
-    # integers keep every sum exact
-    llrs = 2.0 * np.random.default_rng(m).integers(-3, 4, size=words.shape)
-    assert np.array_equal(decoder(np.concatenate((words[:1], llrs)), code)[1:], decoder(llrs, code))
+        decided = decoder(fibers, code)
+        assert decided.dtype == np.uint8
+        assert np.array_equal(decided, decoder(bpsk_modulate(fibers), code)), layout
+    assert _table_lookups() == lookups + tabulated * len(LAYOUTS)  # one lookup a tabulated layout
 
 
 @pytest.mark.parametrize("decoder, m, r", [
@@ -260,6 +266,14 @@ def test_decoders_write_over_their_input_what_they_return(decoder, m, r, case):
     kind, shape, rng = case
     code = rm_core.build_rm_code(m, r)
     llrs = _values(rng, kind, (shape[0] * shape[1], code.n))
+    if decoder in (fht_ml_decode_batch, brute_force_ml_decode_batch):
+        # a hard decoder writes bits: into a uint8 out laid out as its LLRs, or over bits
+        for layout in LAYOUTS:
+            fibers = _lay_out(llrs, layout, shape)
+            out = np.empty_like(fibers, dtype=np.uint8)  # its axes in memory as the LLRs'
+            assert decoder(fibers, code, out=out) is out
+            assert np.array_equal(out, decoder(fibers, code)), layout
+        llrs = (llrs < 0.0).astype(np.uint8)
     for layout in LAYOUTS:
         expected = decoder(_lay_out(llrs, layout, shape), code)
         fibers = _lay_out(llrs.copy(), layout, shape)  # '1d' and 'strided' are views of the copy
@@ -311,7 +325,7 @@ def test_soft_fht_decodes_a_block_in_place_as_it_decodes_each_fiber(m, pre, post
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_the_table_path_writes_over_its_input_what_it_returns(decoder, m, r):
     code = rm_core.build_rm_code(m, r)
-    words = _pm1_words(code.n)
+    words = _bit_words(code.n)
     for layout in LAYOUTS:
         expected = decoder(_lay_out(words, layout, (2, len(words) // 2)), code)
         lookups = _table_lookups()
@@ -323,12 +337,13 @@ def test_the_table_path_writes_over_its_input_what_it_returns(decoder, m, r):
 
 def test_pm1_words_of_a_code_too_large_to_tabulate_decode_exhaustively():
     code = rm_core.build_rm_code(4, 2)  # 2^(n+k) = 2^27 > 2^21: no table
-    words = _pm1_words(code.n)[np.random.default_rng(42).choice(1 << code.n, 512, replace=False)]
+    chosen = np.random.default_rng(42).choice(1 << code.n, 512, replace=False)
+    words = bpsk_modulate(_bit_words(code.n)[chosen])
     lookups = _table_lookups()
     decided = brute_force_ml_decode_batch(words, code)
     assert _table_lookups() == lookups
-    codebook = 1.0 - 2.0 * rm_core.encode_batch(code, rm_core.binary_words(code.k))
-    assert np.array_equal(decided, codebook[np.argmax(words @ codebook.T, axis=1)])  # exact scores
+    codebook = rm_core.encode_batch(code, rm_core.binary_words(code.k))
+    assert np.array_equal(decided, codebook[np.argmax(words @ bpsk_modulate(codebook).T, axis=1)])  # exact
     assert np.array_equal(decided, brute_force_ml_decode_batch(0.5 * words, code))
 
 
@@ -374,8 +389,7 @@ def test_brute_force_and_encode_take_any_leading_shape(m, r, case):
         assert np.array_equal(decided.reshape(-1, code.n),
                               [brute_force_ml_decode_batch(row, code) for row in rows]), layout
         scores = rows @ (1.0 - 2.0 * codebook).T  # exact: ties stay ties
-        assert np.array_equal(decided.reshape(-1, code.n),
-                              1.0 - 2.0 * codebook[np.argmax(scores, axis=1)])
+        assert np.array_equal(decided.reshape(-1, code.n), codebook[np.argmax(scores, axis=1)])
 
 
 @pytest.mark.parametrize("m, r", [(2, 2), (3, 1), (4, 1), (4, 2), (5, 2)])  # exhaustive, k = 4..16
@@ -485,7 +499,7 @@ def _rows_decode(code, received, sigma2, iterations, mode):
             flat = moved.reshape(-1, comp.code.n)
             if comp.decoder == BF_MAP:
                 updated = (brute_force_soft_map_batch(flat, comp.code) if mode == "soft"
-                           else brute_force_ml_decode_batch(flat, comp.code))
+                           else 1.0 - 2.0 * brute_force_ml_decode_batch(flat, comp.code))
             else:
                 updated = (_rows_soft if mode == "soft" else _rows_hard)(flat, comp.code)
             tensor = np.moveaxis(updated.reshape(moved.shape), -1, axis)

@@ -115,8 +115,9 @@ def test_implied_bfmap_decodes_like_the_suffix(mode):
 
 @pytest.mark.parametrize("descriptor", ["rm(3,1)xrm(3,1)xrm(3,1)", "rm(4,1)xrm(3,2):bfmap"])
 def test_hard_operation_counts_do_not_depend_on_the_input(descriptor):
-    # with sigma2 = 2 the channel LLRs of bpsk codewords are +-1, so every
-    # component call is served from its table; zero LLRs take the kernels
+    # the first call of a decode runs its kernel on channel LLRs, zero or (bpsk
+    # codewords at sigma2 = 2) +-1; every later call reads bits, which the
+    # tables serve; each call counts its kernel's operations all the same
     code = product_code_from_descriptor(descriptor)
     sent = product_encode_batch(code, np.random.default_rng(5).integers(
         0, 2, (16, code.k_t), dtype=np.uint8))
@@ -262,10 +263,10 @@ def test_single_iteration_hard_equals_manual_axis_sweep():
     decided, tensor = product_decode_batch(code, y, 1.0, 1, "hard")
 
     manual = (2.0 * y).reshape(4, 8)
-    manual = fht_ml_decode_batch(manual, code1)            # +-1 hard decisions
+    manual = fht_ml_decode_batch(manual, code1)            # codeword bits
     manual = fht_ml_decode_batch(manual.T, code2).T
-    assert np.array_equal(tensor, manual)
-    assert np.array_equal(decided, (manual.reshape(-1) < 0).astype(np.uint8))
+    assert np.array_equal(tensor, 1.0 - 2.0 * manual)      # the bits as +-1 LLRs
+    assert np.array_equal(decided, manual.reshape(-1))
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
@@ -420,28 +421,36 @@ def test_kernels_without_out_return_arrays_of_their_own():
     rng = np.random.default_rng(132)
     first, second = rm_core.build_rm_code(3, 1), rm_core.build_rm_code(3, 2)
     llrs = rng.normal(size=(5, 8))
-    signs = np.sign(llrs)  # +-1: the table path
+    bits = (llrs < 0.0).astype(np.uint8)  # bits: the table path
     results = [fht(llrs), info_bit_llrs_batch(llrs, first), encoded_bit_llrs_batch(llrs[:, :4], first),
                soft_fht_decode_batch(llrs, first), fht_ml_decode_batch(llrs, first),
-               fht_ml_decode_batch(signs, first), brute_force_soft_map_batch(llrs, second),
-               brute_force_ml_decode_batch(llrs, second), brute_force_ml_decode_batch(signs, second)]
+               fht_ml_decode_batch(bits, first), brute_force_soft_map_batch(llrs, second),
+               brute_force_ml_decode_batch(llrs, second), brute_force_ml_decode_batch(bits, second)]
     for result in results:
         assert not any(np.shares_memory(result, slot) for slot in _workspace_slots(20, 40))
 
 
 def test_every_kernel_refuses_an_out_of_the_wrong_dtype_or_shape():
     first, second = rm_core.build_rm_code(3, 1), rm_core.build_rm_code(3, 2)
-    llrs = np.random.default_rng(133).normal(size=(5, 8))
-    calls = [(lambda out: fht(llrs, out=out), 8), (lambda out: info_bit_llrs_batch(llrs, first, out=out), 4),
-             (lambda out: encoded_bit_llrs_batch(llrs[:, :4], first, out=out), 8),
-             (lambda out: soft_fht_decode_batch(llrs, first, out=out), 8),
-             (lambda out: fht_ml_decode_batch(llrs, first, out=out), 8),
-             (lambda out: brute_force_soft_map_batch(llrs, second, out=out), 8),
-             (lambda out: brute_force_ml_decode_batch(llrs, second, out=out), 8)]
-    for call, width in calls:
-        for wrong in (np.zeros((5, width), dtype=np.float32), np.zeros((5, width + 1)), np.zeros((4, width))):
-            with pytest.raises(ValueError, match=rf"out must be float64 of shape \(5, {width}\), got"):
-                call(wrong)
+    rng = np.random.default_rng(133)
+    llrs, cube = rng.normal(size=(5, 8)), rng.normal(size=(2, 3, 8))
+    # (kernel, input length, output length, output dtype)
+    calls = [(lambda x, out: fht(x, out=out), 8, 8, np.float64),
+             (lambda x, out: info_bit_llrs_batch(x, first, out=out), 8, 4, np.float64),
+             (lambda x, out: encoded_bit_llrs_batch(x, first, out=out), 4, 8, np.float64),
+             (lambda x, out: soft_fht_decode_batch(x, first, out=out), 8, 8, np.float64),
+             (lambda x, out: fht_ml_decode_batch(x, first, out=out), 8, 8, np.uint8),
+             (lambda x, out: brute_force_soft_map_batch(x, second, out=out), 8, 8, np.float64),
+             (lambda x, out: brute_force_ml_decode_batch(x, second, out=out), 8, 8, np.uint8)]
+    for call, length, width, dtype in calls:
+        other = np.float32 if dtype == np.float64 else np.float64
+        for wrong in (np.zeros((5, width), dtype=other), np.zeros((5, width + 1), dtype=dtype),
+                      np.zeros((4, width), dtype=dtype)):
+            with pytest.raises(ValueError, match=rf"out must be {np.dtype(dtype)} of shape \(5, {width}\), got"):
+                call(llrs[:, :length], wrong)
+        # the right dtype and shape, with its axes in memory in another order than the input's
+        with pytest.raises(ValueError, match=r"out must lay out its axes in memory as the input does"):
+            call(cube[..., :length], np.zeros((width, 3, 2), dtype=dtype).T)
 
 
 @pytest.mark.parametrize("descriptor, mode", [("rm(6,1)xrm(2,1)", "soft"),

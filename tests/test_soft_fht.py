@@ -134,8 +134,8 @@ def test_soft_decode_signs_match_hard_ml():
     rng = np.random.default_rng(41)
     block = rng.normal(size=(2000, 32)) * 1.5
     soft = soft_fht_decode_batch(block, code)
-    hard = fht_ml_decode_batch(block, code)
-    assert np.array_equal(soft < 0, hard < 0)
+    hard = fht_ml_decode_batch(block, code)  # codeword bits
+    assert np.array_equal((soft < 0).astype(np.uint8), hard)
 
 
 def test_soft_decode_batch_matches_single():
@@ -171,8 +171,8 @@ def test_brute_force_handles_second_order_code():
     coded = brute_force_soft_map_batch(llr, code)
     assert coded.shape == (8,)
     # hard thresholds of the coded LLRs reproduce the exhaustive ML word
-    best = brute_force_ml_decode_batch(llr[None, :], code)[0]
-    assert np.array_equal(coded < 0, best < 0)
+    best = brute_force_ml_decode_batch(llr[None, :], code)[0]  # codeword bits
+    assert np.array_equal((coded < 0).astype(np.uint8), best)
 
 
 def test_soft_map_keeps_one_score_block_beside_the_scores():
@@ -216,16 +216,18 @@ def test_soft_fht_decode_in_place_makes_no_full_size_temporary(descriptor, frame
     (brute_force_soft_map_batch, 2),
     (brute_force_ml_decode_batch, 2),
 ], ids=lambda value: getattr(value, "__name__", None))
-def test_component_decoders_return_float64_laid_out_like_the_input(decoder, order, axis):
+def test_component_decoders_return_their_dtype_laid_out_like_the_input(decoder, order, axis):
+    # soft decoders return float64 LLRs, hard decoders uint8 codeword bits
     code = rm_core.build_rm_code(3, order)
     shape = [5, 6, 7]
     shape[axis] = code.n
     fibers = np.moveaxis(np.random.default_rng(axis).normal(size=shape), axis, -1)
     out = decoder(fibers, code)
-    assert out.dtype == np.float64 and out.shape == fibers.shape
+    hard = decoder in (fht_ml_decode_batch, brute_force_ml_decode_batch)
+    assert out.dtype == (np.uint8 if hard else np.float64) and out.shape == fibers.shape
     assert np.array_equal(np.argsort(out.strides), np.argsort(fibers.strides))
-    if decoder in (fht_ml_decode_batch, brute_force_ml_decode_batch):
-        assert np.array_equal(np.abs(out), np.ones(out.shape))  # the +-1 codewords
+    if hard:
+        assert np.array_equal(out, out & 1)  # the codeword bits
 
 
 @pytest.mark.parametrize("lead", [(0,), (3, 0)])
@@ -239,7 +241,10 @@ def test_component_decoders_take_no_fibers(decoder, order, lead):
     code = rm_core.build_rm_code(3, order)
     llrs = np.zeros(lead + (code.n,))
     out = decoder(llrs, code)
-    assert out.dtype == np.float64 and out.shape == llrs.shape
+    hard = decoder in (fht_ml_decode_batch, brute_force_ml_decode_batch)
+    assert out.dtype == (np.uint8 if hard else np.float64) and out.shape == llrs.shape
+    if hard:  # a hard decoder writes over the bits it reads
+        llrs = np.zeros(lead + (code.n,), dtype=np.uint8)
     assert decoder(llrs, code, out=llrs) is llrs
 
 
