@@ -72,6 +72,9 @@ class SimConfig:
                 raise ValueError(f"Eb/N0 must be a finite number of dB, got {ebno_db}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.out_format!r}")
+        if (self.out_path not in ("stdout", "-")
+                and not os.path.isdir(os.path.dirname(os.path.abspath(self.out_path)))):
+            raise ValueError(f"the output path {self.out_path!r} is not in an existing directory")
         _cached_code(self.code)
         if not self.ebno_dbs:
             raise ValueError("the Eb/N0 grid needs at least one point")
@@ -321,7 +324,10 @@ def emit(points, config: SimConfig) -> None:
     # never leaves a truncated file at out_path.
     directory, name = os.path.split(os.path.abspath(config.out_path))
     partial = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    stream = open(partial, "w", encoding="utf-8")
+    try:
+        stream = open(partial, "w", encoding="utf-8")
+    except OSError as exc:  # name the path asked for, not the hidden one
+        raise OSError(exc.errno, exc.strerror, config.out_path) from None
     try:
         with stream:
             _emit_to(points, config, stream)

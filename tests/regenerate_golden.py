@@ -10,13 +10,22 @@ Exhaustive components of order above one that are not single parity checks,
 and order-1 components under :bfmap, are left out: their soft values and
 first-axis decisions come from a BLAS matrix product, whose rounding depends
 on the build.
+
+The JSON holds only counts, which a change of an ulp in a soft kernel rarely
+moves, so for the soft grids in LLR_DIGEST_GRIDS the script also keeps the
+sha256 of chunk 0's final LLRs in soft-llr-digests.json.  Those paths are
+elementwise IEEE arithmetic, so the digests do not depend on BLAS.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 from pathlib import Path
 
-from rmproduct import cli
+import numpy as np
+
+from rmproduct import channel, cli, product, sim
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -35,6 +44,10 @@ GOLDEN_GRIDS = {
                                 "--min-errors", "30", "--max-frames", "600"],
 }
 
+# soft grids whose chunk-0 LLRs are kept as digests: no BLAS product on their paths
+LLR_DIGEST_GRIDS = ("soft-fht-partial-chunk", "soft-parity-check")
+LLR_DIGESTS = GOLDEN_DIR / "soft-llr-digests.json"
+
 
 def golden_output(arguments) -> str:
     """The JSON text `cli.main` writes for a grid's arguments at seed 7."""
@@ -45,12 +58,30 @@ def golden_output(arguments) -> str:
     return stream.getvalue()
 
 
+def chunk_llr_digest(arguments) -> str:
+    """sha256 of the C-ordered <f8 bytes of the final LLR tensor that a grid's
+    chunk 0 decodes to at its first Eb/N0 and seed 7, drawn and decoded as
+    `sim._run_chunk` does."""
+    settings = vars(cli.build_parser().parse_args([*arguments, "--seed", "7"]))
+    code = product.product_code_from_descriptor(settings["code"])
+    sigma2 = channel.ebno_db_to_sigma2(cli.parse_ebno_grid(settings["ebno_dbs"])[0], code.rate)
+    count = min(sim.CHUNK_FRAMES, settings["max_frames"])
+    infos, noise = sim._chunk_draws(code, sigma2, settings["seed"], 0, count)
+    received = channel.bpsk_modulate(product.product_encode_batch(code, infos)) + noise
+    _, llrs = product.product_decode_batch(code, received, sigma2, settings["iterations"],
+                                           settings["decoder"])
+    return hashlib.sha256(np.ascontiguousarray(llrs, dtype="<f8").tobytes()).hexdigest()
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, arguments in GOLDEN_GRIDS.items():
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(golden_output(arguments), encoding="utf-8")
         print(path)
+    digests = {name: chunk_llr_digest(GOLDEN_GRIDS[name]) for name in LLR_DIGEST_GRIDS}
+    LLR_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    print(LLR_DIGESTS)
 
 
 if __name__ == "__main__":

@@ -123,10 +123,27 @@ def test_json_sweep_to_file(tmp_path):
     assert len(payload["points"]) == 2
 
 
-def test_unwritable_output_path_reports_error(tmp_path, capsys):
+def test_unwritable_output_path_reports_error(tmp_path, capsys, monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran before the output path was checked")
+
+    monkeypatch.setattr(sim, "_run_chunk", no_chunk)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert cli.main(FAST_ARGS + ["--out", str(missing_dir)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(str(missing_dir)) in err
+    assert ".tmp" not in err
+
+
+def test_a_failed_open_names_the_output_path_not_the_temporary_file(tmp_path):
+    directory = tmp_path / "gone"
+    directory.mkdir()
+    out = directory / "out.csv"
+    config = sim.SimConfig(code="rm(2,1)", ebno_dbs=(1.0,), out_path=str(out))
+    directory.rmdir()  # after the config checked it
+    with pytest.raises(FileNotFoundError) as raised:
+        sim.emit([], config)
+    assert raised.value.filename == str(out) and ".tmp" not in str(raised.value)
 
 
 def test_out_of_memory_reports_error(monkeypatch, tmp_path, capsys):

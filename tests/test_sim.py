@@ -150,7 +150,7 @@ def test_json_format_carries_config():
     assert set(payload["points"][0]) == set(sim.CSV_COLUMNS)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     grid = (1.0,)
     with pytest.raises(ValueError):
         sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, decoder="fuzzy")
@@ -166,6 +166,8 @@ def test_config_validation():
         sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, seed=-1)
     with pytest.raises(ValueError):
         sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, out_format="xml")
+    with pytest.raises(ValueError, match="output path"):
+        sim.SimConfig(code="rm(2,1)", ebno_dbs=grid, out_path=str(tmp_path / "no" / "out.csv"))
     with pytest.raises(ValueError, match="garbage"):
         sim.SimConfig(code="garbage", ebno_dbs=grid)
     with pytest.raises(ValueError, match="Eb/N0"):
