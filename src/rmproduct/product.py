@@ -1,18 +1,23 @@
-"""Products of RM component codes: parameters, tensor encoding, iterative decoding.
-
-A Q-component product code shapes the information word as a Q-dimensional
-array and encodes along each axis with that axis' component encoder; every
-axis-q fiber of the result is a codeword of component q.  Decoding sweeps the
-axes in component order, replacing each fiber's LLRs with the component
-decoder's output, and repeats for a configured number of iterations before
-the final sign decision.  In hard mode the output is codeword bits, which
-every later component call reads.
+"""Products of RM component codes: parameters, encoding, iterative decoding.
 
 Tensor layout: shape (n_Q, ..., n_2, n_1) with component 1 on the last
 (fastest-varying) axis; vectors are the row-major serialization of that
 tensor, so in 2D the element (row i2, col i1) sits at index i2*n_1 + i1.
-Encoding and decoding work on the last axis of any (..., k_t) or (..., n_t)
-array, one frame per leading index.
+Every component length is a power of two, so a position's m_t = m_1 + ... +
+m_Q index bits are its components' index bits laid end to end, component Q
+most significant, and the product C1 x ... x CQ is the subcode of
+RM(m_t, r_1 + ... + r_Q) whose information positions are the components'
+positions laid end to end the same way, in row-major order over the
+(k_Q, ..., k_1) information tensor.  Encoding and recovery are that
+subcode's own: the information bits scattered to its positions and the
+m_t-stage subset-XOR butterfly, O(n_t log n_t); every axis-q fiber of a
+codeword is a codeword of component q.  Encoding and decoding work on the
+last axis of any (..., k_t) or (..., n_t) array, one frame per leading index.
+
+Decoding sweeps the axes in component order, replacing each fiber's LLRs
+with the component decoder's output, and repeats for a configured number of
+iterations before the final sign decision.  In hard mode the output is
+codeword bits, which every later component call reads.
 """
 
 import math
@@ -50,20 +55,21 @@ class ProductCode:
         if not components:
             raise ValueError("a product code needs at least one component")
         self.components = tuple(components)
-        codes = [c.code for c in components]
+        codes = [c.code for c in reversed(components)]  # component Q first: the slowest axis
         self.q_count = len(codes)
-        self.n_t = math.prod(c.n for c in codes)
-        self.k_t = math.prod(c.k for c in codes)
-        self.d_t = math.prod(c.min_distance for c in codes)
-        self.rate = self.k_t / self.n_t
-        self.m_t = sum(c.m for c in codes)
-        self.r_t = sum(c.r for c in codes)
-        # component 1 encodes/decodes the last tensor axis
-        self.tensor_shape = tuple(c.n for c in reversed(codes))
-        self.info_shape = tuple(c.k for c in reversed(codes))
-        if self.n_t > MAX_PRODUCT_N:
+        self.tensor_shape = tuple(c.n for c in codes)
+        n_t = math.prod(self.tensor_shape)
+        if n_t > MAX_PRODUCT_N:
             raise rm_core.SizeLimitError(
-                f"{self.descriptor}: a product caps at n_t <= {MAX_PRODUCT_N}, got n_t={self.n_t}")
+                f"{self.descriptor}: a product caps at n_t <= {MAX_PRODUCT_N}, got n_t={n_t}")
+        positions = (0,)
+        for c in codes:
+            positions = tuple(x * c.n + p for x in positions for p in c.positions)
+        self.subcode = rm_core.RmCode(m=sum(c.m for c in codes), r=sum(c.r for c in codes),
+                                      n=n_t, k=len(positions), positions=positions)
+        self.n_t, self.k_t, self.m_t, self.r_t = n_t, self.subcode.k, self.subcode.m, self.subcode.r
+        self.d_t = self.subcode.min_distance
+        self.rate = self.subcode.rate
 
     @property
     def descriptor(self) -> str:
@@ -106,35 +112,17 @@ def product_code_from_descriptor(text: str) -> ProductCode:
     return ProductCode(components)
 
 
-def _along_axes(code: ProductCode, tensor, step) -> np.ndarray:
-    """Apply `step(component code, array)` along the last axis of each
-    component's view of `tensor`, component 1 (the last axis) first."""
-    for index, comp in enumerate(code.components):
-        axis = -1 - index
-        tensor = np.moveaxis(step(comp.code, np.moveaxis(tensor, axis, -1)), -1, axis)
-    return tensor
-
-
 def product_encode_batch(code: ProductCode, infos) -> np.ndarray:
-    """Encode (..., k_t) information words to (..., n_t) codewords."""
-    infos = np.asarray(infos, dtype=np.uint8)
-    if infos.ndim == 0 or infos.shape[-1] != code.k_t:
-        raise ValueError(f"information words have shape {infos.shape}, expected (..., {code.k_t})")
-    lead = infos.shape[:-1]
-    return _along_axes(code, infos.reshape(lead + code.info_shape),
-                       rm_core.encode_batch).reshape(lead + (code.n_t,))
+    """Encode (..., k_t) information words to (..., n_t) codewords, as
+    `code.subcode`; the frames sit on the smallest stride."""
+    return rm_core.encode_batch(code.subcode, infos)
 
 
 def product_recover_batch(code: ProductCode, words) -> np.ndarray:
-    """The (..., k_t) information words of (..., n_t) words, read through each
-    component's information positions: the inverse of `product_encode_batch`
+    """The (..., k_t) information words of (..., n_t) words, read through the
+    subcode's information positions: the inverse of `product_encode_batch`
     on codewords, and the information-bit error pattern of an error pattern."""
-    words = np.asarray(words, dtype=np.uint8)
-    if words.ndim == 0 or words.shape[-1] != code.n_t:
-        raise ValueError(f"words have shape {words.shape}, expected (..., {code.n_t})")
-    lead = words.shape[:-1]
-    return _along_axes(code, words.reshape(lead + code.tensor_shape),
-                       rm_core.recover_batch).reshape(lead + (code.k_t,))
+    return rm_core.recover_batch(code.subcode, words)
 
 
 def _decode_fibers(comp: Component, source, written, axis: int, mode: str, counter) -> None:

@@ -1,4 +1,4 @@
-"""Reed-Muller component codes over GF(2).
+"""Reed-Muller codes and their subcodes over GF(2).
 
 An RM(m, r) code has blocklength n = 2^m and dimension k = sum_{i<=r} C(m, i).
 Variable b (0 <= b < m) is bit m-1-b of a position x, most significant first,
@@ -8,15 +8,17 @@ at most r variables, by degree and then lexicographically: bit S carries the
 monomial of S, 1 at the positions whose bits include point(S), so the empty
 set's all-one word comes first and the m first-order words spell 0..n-1 in
 binary.  This canonical order makes the codeword/Hadamard-column
-correspondence of the FHT decoders deterministic.  Encoding is the m-stage
-subset-XOR butterfly; recovery runs the same stages, their own inverse, and
-reads the information positions.  Construction checks that the encoder spans
-the rows of the Kronecker power of [[1,0],[1,1]] of weight >= 2^(m-r).
+correspondence of the FHT decoders deterministic.  A subcode of RM(m, r),
+such as a product code, is a subset of these positions.  Encoding is the
+m-stage subset-XOR butterfly; recovery runs the same stages, their own
+inverse, and reads the information positions.  Construction checks that the
+encoder spans the rows of the Kronecker power of [[1,0],[1,1]] of weight
+>= 2^(m-r).
 """
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -45,13 +47,15 @@ def rm_dimension(m: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class RmCode:
-    """An RM(m, r) component code with its information positions."""
+    """An RM(m, r) code, or a subcode of it, given by its information positions."""
 
     m: int
     r: int
     n: int
     k: int
-    positions: tuple[int, ...] = field(compare=False)  # point(S) of each bit, canonical order
+    # point(S) of each bit, canonical order for RM(m, r) itself; two subcodes of
+    # one RM(m, r) with equal k can differ here, so they compare by it
+    positions: tuple[int, ...]
 
     @property
     def rate(self) -> float:

@@ -72,9 +72,11 @@ class SimConfig:
                 raise ValueError(f"Eb/N0 must be a finite number of dB, got {ebno_db}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.out_format!r}")
-        if (self.out_path not in ("stdout", "-")
-                and not os.path.isdir(os.path.dirname(os.path.abspath(self.out_path)))):
-            raise ValueError(f"the output path {self.out_path!r} is not in an existing directory")
+        if self.out_path not in ("stdout", "-"):
+            if not self.out_path or os.path.isdir(self.out_path):
+                raise ValueError(f"the output path {self.out_path!r} does not name a file")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(self.out_path))):
+                raise ValueError(f"the output path {self.out_path!r} is not in an existing directory")
         _cached_code(self.code)
         if not self.ebno_dbs:
             raise ValueError("the Eb/N0 grid needs at least one point")

@@ -128,11 +128,11 @@ def test_unwritable_output_path_reports_error(tmp_path, capsys, monkeypatch):
         raise AssertionError("a chunk ran before the output path was checked")
 
     monkeypatch.setattr(sim, "_run_chunk", no_chunk)
-    missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
-    assert cli.main(FAST_ARGS + ["--out", str(missing_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(str(missing_dir)) in err
-    assert ".tmp" not in err
+    for path in (str(tmp_path / "no" / "such" / "dir" / "out.csv"), str(tmp_path), ""):
+        assert cli.main(FAST_ARGS + ["--out", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(path) in err
+        assert ".tmp" not in err
 
 
 def test_a_failed_open_names_the_output_path_not_the_temporary_file(tmp_path):

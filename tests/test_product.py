@@ -196,6 +196,35 @@ def test_product_basis_inside_enclosing_rm_code_more_pairs():
         assert gf2.row_space_equal(np.vstack([enclosing, basis]), enclosing), (m1, m2)
 
 
+# one, two and three axes, with order-0 and full-order components
+SUBCODE_CODES = ("rm(0,0)", "rm(3,3)", "rm(2,0)", "rm(3,1)xrm(2,1)", "rm(2,0)xrm(3,3)",
+                 "rm(0,0)xrm(4,1)", "rm(2,0)xrm(3,3)xrm(2,1)", "rm(3,1)xrm(0,0)xrm(2,2)")
+
+
+@pytest.mark.parametrize("descriptor", SUBCODE_CODES)
+def test_the_product_is_a_subcode_of_the_enclosing_rm_code(descriptor):
+    code = product_code_from_descriptor(descriptor)
+    enclosing = rm_core.build_rm_code(code.m_t, code.r_t)
+    assert set(code.subcode.positions) <= set(enclosing.positions)
+    infos = np.random.default_rng(31).integers(0, 2, (6, code.k_t), dtype=np.uint8)
+    v = np.zeros((6, enclosing.k), dtype=np.uint8)  # the bits at the subcode's positions
+    v[:, [enclosing.positions.index(p) for p in code.subcode.positions]] = infos
+    sent = product_encode_batch(code, infos)
+    assert np.array_equal(sent, rm_core.encode_batch(enclosing, v))
+    assert np.array_equal(product_recover_batch(code, sent), infos)
+    # every fiber along component q's axis, the last for q = 1, is a codeword of component q
+    tensors = sent.reshape((6,) + code.tensor_shape)
+    for axis, comp in zip(range(code.q_count, 0, -1), code.components):
+        fibers = np.moveaxis(tensors, axis, -1).reshape(-1, comp.code.n)
+        assert {tuple(f) for f in fibers} <= codeword_set(comp.code)
+
+
+def test_products_of_swapped_components_are_different_subcodes():
+    a, b = (product_code_from_descriptor(d).subcode for d in ("rm(3,1)xrm(2,1)", "rm(2,1)xrm(3,1)"))
+    assert (a.m, a.r, a.n, a.k) == (b.m, b.r, b.n, b.k) == (5, 2, 32, 12)
+    assert a != b
+
+
 def test_product_min_distance_bruteforce():
     code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
     assert min_nonzero_weight(product_codewords(code)) == 8 == code.d_t
@@ -316,6 +345,8 @@ def test_encode_and_decode_take_any_leading_shape(descriptor, mode):
     flat_decided, flat_tensors = product_decode_batch(code, received.reshape(6, -1), 2.0, 2, mode)
     assert np.array_equal(decided.reshape(6, -1), flat_decided)
     assert np.array_equal(tensors.reshape((6,) + code.tensor_shape), flat_tensors)
+    # frames on the smallest stride, as the decisions the tally XORs them with
+    assert product_encode_batch(code, infos.reshape(6, -1)).strides == flat_decided.strides
 
 
 def test_decode_validates_arguments():
