@@ -21,10 +21,18 @@ def bpsk_modulate(bits, out=None) -> np.ndarray:
 
 
 def ebno_db_to_sigma2(ebno_db: float, rate: float) -> float:
-    """Noise variance for a given Eb/N0 (dB) and code rate."""
+    """Noise variance for a given Eb/N0 (dB) and code rate; refuses an Eb/N0
+    whose variance or LLR scale 2/sigma2 is not a finite positive float."""
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not (0.0 < sigma2 < math.inf and 2.0 / sigma2 < math.inf):
+        raise ValueError(f"Eb/N0 of {ebno_db} dB at rate {rate} gives a noise variance "
+                         f"outside the float range")
+    return sigma2
 
 
 def sigma2_to_snr_db(sigma2: float) -> float:

@@ -17,17 +17,15 @@ last axis of any (..., k_t) or (..., n_t) array, one frame per leading index.
 Decoding sweeps the axes in component order, replacing each fiber's LLRs
 with the component decoder's output, and repeats for a configured number of
 iterations before the final sign decision.  In hard mode the output is
-codeword bits, which every later component call reads.
+codeword bits, which every later component call reads and the decoder returns.
 """
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rm_core, soft_fht
-from .channel import bpsk_modulate
 from .fht import fht_ml_decode_batch
 from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
@@ -58,29 +56,32 @@ class ProductCode:
         codes = [c.code for c in reversed(components)]  # component Q first: the slowest axis
         self.q_count = len(codes)
         self.tensor_shape = tuple(c.n for c in codes)
-        n_t = math.prod(self.tensor_shape)
-        if n_t > MAX_PRODUCT_N:
-            raise rm_core.SizeLimitError(
-                f"{self.descriptor}: a product caps at n_t <= {MAX_PRODUCT_N}, got n_t={n_t}")
+        n_t = 1 << sum(c.m for c in codes)
+        _check_product_length(self.descriptor, n_t)
         positions = (0,)
         for c in codes:
             positions = tuple(x * c.n + p for x in positions for p in c.positions)
         self.subcode = rm_core.RmCode(m=sum(c.m for c in codes), r=sum(c.r for c in codes),
                                       n=n_t, k=len(positions), positions=positions)
         self.n_t, self.k_t, self.m_t, self.r_t = n_t, self.subcode.k, self.subcode.m, self.subcode.r
-        self.d_t = self.subcode.min_distance
-        self.rate = self.subcode.rate
+        self.d_t, self.rate = self.subcode.min_distance, self.subcode.rate
 
     @property
     def descriptor(self) -> str:
-        parts = []
-        for comp in self.components:
-            suffix = ":bfmap" if comp.decoder == BF_MAP else ""
-            parts.append(comp.code.descriptor + suffix)
-        return "x".join(parts)
+        return _descriptor((c.code.m, c.code.r, c.decoder) for c in self.components)
 
     def __str__(self) -> str:
         return f"{self.descriptor} [n={self.n_t}, k={self.k_t}, d={self.d_t}]"
+
+
+def _descriptor(specs) -> str:
+    """'rm(m1,r1)x...' of (m, r, decoder) specs, ':bfmap' after each exhaustive one."""
+    return "x".join(f"rm({m},{r})" + (":bfmap" if kind == BF_MAP else "") for m, r, kind in specs)
+
+
+def _check_product_length(name: str, n_t: int) -> None:
+    if n_t > MAX_PRODUCT_N:
+        raise rm_core.SizeLimitError(f"{name}: a product caps at n_t <= {MAX_PRODUCT_N}, got n_t={n_t}")
 
 
 def product_code_from_descriptor(text: str) -> ProductCode:
@@ -89,8 +90,8 @@ def product_code_from_descriptor(text: str) -> ProductCode:
     A component's order picks its decoder: order 1 decodes with the soft-FHT
     decoder, and any other order with the exhaustive soft-MAP decoder, which
     needs component dimension <= 16.  ':bfmap' after an order-1 component
-    chooses the exhaustive decoder for it too.  Every part is parsed before
-    any code is built.
+    chooses the exhaustive decoder for it too.  Every part is parsed, and
+    every size cap checked, before any code is built.
     """
     parts = re.split(r"\s*[xX]\s*", text.strip())
     if not all(parts):
@@ -103,13 +104,12 @@ def product_code_from_descriptor(text: str) -> ProductCode:
             raise ValueError(f"unknown decoder suffix {suffix!r} in {part!r}")
         m, r = rm_core.parse_rm_descriptor(base)
         specs.append((m, r, BF_MAP if sep or r != 1 else SOFT_FHT))
-    components = []
     for m, r, kind in specs:
-        code = rm_core.build_rm_code(m, r)
+        rm_core.check_length(m)
         if kind == BF_MAP:
-            soft_fht.check_exhaustive_size(code)
-        components.append(Component(code=code, decoder=kind))
-    return ProductCode(components)
+            soft_fht.check_exhaustive_size(f"rm({m},{r})", rm_core.rm_dimension(m, r))
+    _check_product_length(_descriptor(specs), 1 << sum(m for m, _, _ in specs))
+    return ProductCode([Component(code=rm_core.build_rm_code(m, r), decoder=kind) for m, r, kind in specs])
 
 
 def product_encode_batch(code: ProductCode, infos) -> np.ndarray:
@@ -140,13 +140,13 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
                          iterations: int = 3, mode: str = SOFT, counter=None):
     """Decode (..., n_t) received samples.
 
-    Returns (hard codewords (..., n_t) uint8, final LLR tensors with shape
-    (...) + tensor_shape), both owned by the caller; the LLRs are the tensor
-    the decoder worked in, with the frames on the smallest stride.  Fibers
-    along one axis are decoded as a single batch, in place on a view of the
-    tensor; axes and iterations are sequential.  In hard mode the first call
-    decodes the LLR tensor into a uint8 tensor laid out as it, every later
-    call decodes that in place, and the final LLRs are its bits as +-1.
+    Returns (hard codewords (..., n_t) uint8, the tensor the decoder worked
+    in, shape (...) + tensor_shape, frames on the smallest stride), both
+    owned by the caller: the final float64 LLRs in soft mode, and in hard
+    mode the uint8 codeword bits, the decisions' own memory.  Fibers along
+    one axis are decoded as a single batch, in place on a view of the tensor;
+    axes and iterations are sequential, and in hard mode every call after the
+    first decodes bits.  LLRs that leave the float64 range raise ValueError.
     """
     if sigma2 <= 0:
         raise ValueError(f"noise variance must be positive, got {sigma2}")
@@ -158,18 +158,17 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
     if received.ndim == 0 or received.shape[-1] != code.n_t:
         raise ValueError(f"received samples have shape {received.shape}, expected (..., {code.n_t})")
     lead = received.shape[:-1]
-    received = received.reshape(-1, code.n_t)
-    count = received.shape[0]
-    # channel LLRs 2y/sigma2, with the frames on the fastest axis: every axis'
-    # kernel then runs long inner loops
-    llrs = np.multiply(2.0 / sigma2, received.T, order="C")
-    tensor = np.moveaxis(llrs.reshape(code.tensor_shape + (count,)), -1, 0)
-    written = tensor if mode == SOFT else np.empty_like(tensor, dtype=np.uint8)
-    for iteration in range(iterations):
-        for index, comp in enumerate(code.components):
-            source = tensor if iteration == index == 0 else written
-            _decode_fibers(comp, source, written, -1 - index, mode, counter)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # channel LLRs 2y/sigma2, frames fastest: every axis' kernel runs long inner loops
+            llrs = np.multiply(2.0 / sigma2, received.reshape(-1, code.n_t).T, order="C")
+            tensor = np.moveaxis(llrs.reshape(code.tensor_shape + (-1,)), -1, 0)
+            written = tensor if mode == SOFT else np.empty_like(tensor, dtype=np.uint8)
+            for iteration in range(iterations):
+                for index, comp in enumerate(code.components):
+                    source = tensor if iteration == index == 0 else written
+                    _decode_fibers(comp, source, written, -1 - index, mode, counter)
+    except FloatingPointError as exc:
+        raise ValueError(f"the LLRs left the float64 range in {iterations} iterations ({exc})") from None
     decided = written if mode == HARD else (tensor < 0.0).view(np.uint8)  # sign(0) = +1 maps to bit 0
-    if mode == HARD:
-        bpsk_modulate(written, out=tensor)  # the decisions, as +-1 LLRs
-    return decided.reshape(lead + (code.n_t,)), tensor.reshape(lead + code.tensor_shape)
+    return decided.reshape(lead + (code.n_t,)), written.reshape(lead + code.tensor_shape)

@@ -39,6 +39,12 @@ def _check_order(m: int, r: int) -> None:
         raise ValueError(f"order must satisfy 0 <= r <= m, got r={r} with m={m}")
 
 
+def check_length(m: int) -> None:
+    """Refuse a code of length 2^m above the cap 2^MAX_M."""
+    if m > MAX_M:
+        raise SizeLimitError(f"m={m} exceeds cap {MAX_M}")
+
+
 def rm_dimension(m: int, r: int) -> int:
     """Dimension of RM(m, r): sum of C(m, i) for i = 0..r."""
     _check_order(m, r)
@@ -94,8 +100,7 @@ def _weight_selected_rows(m: int, r: int) -> np.ndarray:
 def build_rm_code(m: int, r: int) -> RmCode:
     """Construct RM(m, r) with its information positions point(S) in canonical order."""
     _check_order(m, r)
-    if m > MAX_M:
-        raise SizeLimitError(f"m={m} exceeds cap {MAX_M}")
+    check_length(m)
     positions = tuple(sum(1 << (m - 1 - b) for b in subset)
                       for degree in range(r + 1) for subset in combinations(range(m), degree))
     assert len(positions) == rm_dimension(m, r)

@@ -56,8 +56,9 @@ class SimConfig:
     out_path: str = "stdout"
 
     def __post_init__(self):
-        """Reject the first bad setting, and build the code, before any pool
-        opens or any chunk runs; a bad descriptor is reported before an empty grid."""
+        """Reject the first bad setting, and build the code and convert every
+        Eb/N0 with its rate, before any pool opens or any chunk runs; a bad
+        descriptor is reported before an empty grid."""
         if self.decoder not in (product.SOFT, product.HARD):
             raise ValueError(f"decoder mode must be 'soft' or 'hard', got {self.decoder!r}")
         for name, value, least in (("iterations", self.iterations, 1),
@@ -77,9 +78,11 @@ class SimConfig:
                 raise ValueError(f"the output path {self.out_path!r} does not name a file")
             if not os.path.isdir(os.path.dirname(os.path.abspath(self.out_path))):
                 raise ValueError(f"the output path {self.out_path!r} is not in an existing directory")
-        _cached_code(self.code)
+        code = _cached_code(self.code)
         if not self.ebno_dbs:
             raise ValueError("the Eb/N0 grid needs at least one point")
+        for ebno_db in self.ebno_dbs:
+            channel.ebno_db_to_sigma2(ebno_db, code.rate)
 
 
 @dataclass(frozen=True)

@@ -120,11 +120,11 @@ def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     return result
 
 
-def check_exhaustive_size(code: rm_core.RmCode) -> None:
-    """Refuse a code too large to decode over all of its 2^k codewords."""
-    if code.k > MAX_BF_DIM:
+def check_exhaustive_size(descriptor: str, k: int) -> None:
+    """Refuse a code of dimension k too large to decode over all of its 2^k codewords."""
+    if k > MAX_BF_DIM:
         raise rm_core.SizeLimitError(
-            f"{code.descriptor}: brute-force decoding caps at k <= {MAX_BF_DIM}, got k={code.k}")
+            f"{descriptor}: brute-force decoding caps at k <= {MAX_BF_DIM}, got k={k}")
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +195,7 @@ def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray
     of the codewords with a 0 at j minus the max over those with a 1.  Codes
     with k > MAX_BF_DIM are refused on either path.
     """
-    check_exhaustive_size(code)
+    check_exhaustive_size(code.descriptor, code.k)
     block, written, result = fiber_block(llrs, code.n, out)
     pre, n, post = block.shape
     parity_check = code.r == code.m - 1
@@ -245,7 +245,7 @@ def brute_force_ml_decode_batch(llrs, code, counter=None, out=None) -> np.ndarra
     table of these decisions on all 2^n +-1 words (see `fht.hard_decode`).
     Every call counts the operations of the exhaustive search.
     """
-    check_exhaustive_size(code)
+    check_exhaustive_size(code.descriptor, code.k)
     decided = hard_decode(llrs, code, _ml_kernel, out)
     if counter is not None:
         rows, count, n = decided.size // code.n, 1 << code.k, code.n

@@ -76,6 +76,9 @@ def test_parameter_validation():
         channel.ebno_db_to_sigma2(0.0, 0.0)
     with pytest.raises(ValueError):
         channel.ebno_db_to_sigma2(0.0, 1.5)
+    for ebno_db in (1e308, -4000.0, 3080.0):  # sigma2 overflows, underflows to 0, or 2/sigma2 is inf
+        with pytest.raises(ValueError, match="noise variance outside the float range"):
+            channel.ebno_db_to_sigma2(ebno_db, 0.5)
 
 
 def _chunk_noise(sigma2, seed, frames=245):

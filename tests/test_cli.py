@@ -2,9 +2,13 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmproduct
 from rmproduct import cli, sim
 
 FAST_ARGS = [
@@ -221,3 +225,19 @@ def test_grid_below_zero_db_after_a_space(grid, expected, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert [float(line.split(",")[0]) for line in lines[1:]] == expected
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--ebno", "3", "--iterations", "200", "--max-frames", "8"], "200 iterations"),  # LLRs reach inf
+    (["--ebno", "1e308"], "Eb/N0 of 1e+308 dB"),  # 10^(Eb/N0 / 10) overflows
+    (["--ebno=-4000"], "Eb/N0 of -4000.0 dB"),  # ... or underflows to 0
+])
+def test_values_past_the_float_range_exit_2_with_no_result_file(args, named, tmp_path):
+    out = tmp_path / "sweep.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(rmproduct.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "rmproduct.cli", "--code", "rm(6,1)xrm(2,1)", *args,
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()  # no traceback, and no numpy warning before the error
+    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], done.stderr
+    assert done.stdout == "" and list(tmp_path.iterdir()) == []

@@ -504,6 +504,8 @@ def _rows_decode(code, received, sigma2, iterations, mode):
                 updated = (_rows_soft if mode == "soft" else _rows_hard)(flat, comp.code)
             tensor = np.moveaxis(updated.reshape(moved.shape), -1, axis)
     decided = (np.ascontiguousarray(tensor).reshape(count, code.n_t) < 0.0).astype(np.uint8)
+    if mode == "hard":  # the decoder returns the codeword bits it decided in
+        tensor = (tensor < 0.0).astype(np.uint8)
     return decided, tensor
 
 
@@ -519,6 +521,6 @@ def test_decode_is_bit_exact_with_the_row_by_row_decoder(descriptor, mode):
     expected_decided, expected_tensor = _rows_decode(code, received, 0.81, 3, mode)
     assert decided.dtype == np.uint8 and decided.shape == (frames, code.n_t)
     assert np.array_equal(decided, expected_decided)
-    assert tensor.shape == expected_tensor.shape
+    assert tensor.shape == expected_tensor.shape and tensor.dtype == expected_tensor.dtype
     assert np.array_equal(tensor, expected_tensor)
 

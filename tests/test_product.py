@@ -294,8 +294,9 @@ def test_single_iteration_hard_equals_manual_axis_sweep():
     manual = (2.0 * y).reshape(4, 8)
     manual = fht_ml_decode_batch(manual, code1)            # codeword bits
     manual = fht_ml_decode_batch(manual.T, code2).T
-    assert np.array_equal(tensor, 1.0 - 2.0 * manual)      # the bits as +-1 LLRs
+    assert tensor.dtype == np.uint8 and np.array_equal(tensor, manual)  # the bits decided in
     assert np.array_equal(decided, manual.reshape(-1))
+    assert np.shares_memory(tensor, decided)
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
@@ -360,6 +361,33 @@ def test_decode_validates_arguments():
         product_decode_batch(code, y, 1.0, 1, "fuzzy")
     with pytest.raises(ValueError):
         product_decode_batch(code, np.zeros(3), 1.0, 1, "soft")
+
+
+def test_llrs_that_leave_the_float_range_are_refused():
+    # soft LLRs grow about 256x an iteration on rm(6,1)xrm(2,1): 200 iterations reach inf and
+    # then inf - inf, and a tiny noise variance overflows within 3
+    code = product_code_from_descriptor("rm(6,1)xrm(2,1)")
+    received = 1.0 + np.random.default_rng(116).normal(0.0, 0.7, (8, code.n_t))
+    for sigma2, iterations in ((0.5, 200), (1e-305, 3)):
+        with pytest.raises(ValueError, match=rf"float64 range in {iterations} iterations"):
+            product_decode_batch(code, received, sigma2, iterations, "soft")
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ("rm(17,1)", r"^m=17 exceeds cap 16$"),
+    ("rm(100000,99999)", r"^m=100000 exceeds cap 16$"),  # no dimension summed over a huge m
+    ("rm(14,7)", r"^rm\(14,7\): brute-force decoding caps at k <= 16, got k=9908$"),
+    ("rm(16,15)", r"^rm\(16,15\): brute-force decoding caps at k <= 16, got k=65535$"),
+    ("rm(9,1)xrm(8,1)", r"^rm\(9,1\)xrm\(8,1\): a product caps at n_t <= 65536, got n_t=131072$"),
+    ("rm(8,1):bfmapxrm(9,1)", r"^rm\(8,1\):bfmapxrm\(9,1\): a product caps at n_t <= 65536"),
+])
+def test_size_caps_are_checked_before_any_code_is_built(monkeypatch, descriptor, message):
+    def no_build(m, r):
+        raise AssertionError(f"rm({m},{r}) was built")
+
+    monkeypatch.setattr(rm_core, "build_rm_code", no_build)
+    with pytest.raises(rm_core.SizeLimitError, match=message):
+        product_code_from_descriptor(descriptor)
 
 
 def test_encode_validates_arguments():

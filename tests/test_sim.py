@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 from concurrent.futures import Future
 
 import numpy as np
@@ -172,6 +173,10 @@ def test_config_validation(tmp_path):
         sim.SimConfig(code="garbage", ebno_dbs=grid)
     with pytest.raises(ValueError, match="Eb/N0"):
         sim.SimConfig(code="rm(2,1)", ebno_dbs=())
+    # finite, but their noise variance or LLR scale is not: every grid point is converted
+    for ebno_db in (1e308, -4000.0):
+        with pytest.raises(ValueError, match=re.escape(f"Eb/N0 of {ebno_db} dB")):
+            sim.SimConfig(code="rm(2,1)", ebno_dbs=(1.0, ebno_db))
     with pytest.raises(TypeError, match="ebno_dbs"):
         sim.SimConfig(code="rm(2,1)")
 
