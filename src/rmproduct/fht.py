@@ -2,12 +2,14 @@
 
 Every component kernel (here and in `soft_fht`) takes from one `fiber_block`
 call its (..., n) input as a (pre, n, post) block laid out as it sits in
-memory, the block it writes in that layout (`out=` if given, else a fresh
-array that the caller owns) and the array it returns.  A component decoder's
-`out` may be its input itself, so product-tensor fibers are decoded in place
-along any axis.  Full-size work arrays come from `workspace`, one set per
-thread and size, so a steady-state decode faults no work array in.  The FHT
-runs its stages in the layout of the block it writes, whatever the input's.
+memory, the block it writes in that layout (the keyword `out=` if given,
+else a fresh array that the caller owns) and the array it returns.  A
+component decoder's `out` may be its input itself, so product-tensor fibers
+are decoded in place along any axis.  Full-size work arrays come from
+`workspace`, one set per thread and size, so a steady-state decode faults no
+work array in.  The FHT runs its stages in the layout of the block it
+writes, whatever the input's.  No kernel counts its work: the cost model of
+every step is in `ops`.
 
 Both hard decoders (here and in `soft_fht`) read float LLRs or uint8 codeword
 bits and write uint8 codeword bits.  In hard product decoding every component
@@ -82,7 +84,7 @@ def fiber_block(values, length=None, out=None, width=None, dtype=np.float64):
     return block, written, written.reshape(outer + shape[-1:] + inner).transpose(np.argsort(perm))
 
 
-def fht(values, counter=None, out=None):
+def fht(values, *, out=None):
     """Transform along the last axis by the Sylvester matrix [[1,1],[1,-1]]^(kron m).
 
     log2(n) butterfly stages, each doing exactly n additions/subtractions per
@@ -116,9 +118,6 @@ def fht(values, counter=None, out=None):
             np.add(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 0])
             np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 1])
             source, turn = buffers[turn], 1 - turn
-    if counter is not None:
-        counter.add_sub += pre * post * n * m
-        counter.depth += m
     return result
 
 
@@ -204,7 +203,7 @@ def _ml_kernel(block, code, written):
     written[...] = np.moveaxis(encode_batch(code, np.moveaxis(infos, 1, -1)), -1, 1)
 
 
-def fht_ml_decode_batch(llrs, code, counter=None, out=None):
+def fht_ml_decode_batch(llrs, code, *, out=None):
     """Hard ML decoding along the last axis of (..., n) float LLRs or uint8
     codeword bits.
 
@@ -213,12 +212,5 @@ def fht_ml_decode_batch(llrs, code, counter=None, out=None):
     in uint8 `out` if given (it may be `llrs`).  Bits are read as the +-1 words
     1 - 2c; on a code with 2^(n+k) <= 2^21 (rm(1,1) to rm(4,1)) they are served
     from a table of these decisions on all 2^n +-1 words (see `hard_decode`).
-    Every call counts the operations of the transform and the search.
     """
-    decided = hard_decode(llrs, code, _ml_kernel, out)
-    if counter is not None:
-        fibers, n, m = decided.size // code.n, code.n, code.m
-        counter.add_sub += fibers * n * m
-        counter.compare += fibers * (n - 1)
-        counter.depth += 2 * m
-    return decided
+    return hard_decode(llrs, code, _ml_kernel, out)

@@ -18,6 +18,7 @@ Decoding sweeps the axes in component order, replacing each fiber's LLRs
 with the component decoder's output, and repeats for a configured number of
 iterations before the final sign decision.  In hard mode the output is
 codeword bits, which every later component call reads and the decoder returns.
+`decode_ops` is the modeled work of a decode, summed from the steps in `ops`.
 """
 
 import re
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rm_core, soft_fht
+from . import ops, rm_core, soft_fht
 from .fht import fht_ml_decode_batch
 from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
@@ -40,10 +41,15 @@ MAX_PRODUCT_N = 1 << 16  # a 256-frame chunk's float64 LLR block stays within 12
 
 @dataclass(frozen=True)
 class Component:
-    """One product component: the code and its decoder kind."""
+    """One product component: the code and its decoder kind, soft-FHT for
+    an order-1 code only."""
 
     code: rm_core.RmCode
     decoder: str
+
+    def __post_init__(self):
+        if self.decoder != BF_MAP and (self.decoder != SOFT_FHT or self.code.r != 1):
+            raise ValueError(f"decoder {self.decoder!r} cannot decode {self.code.descriptor}")
 
 
 class ProductCode:
@@ -125,7 +131,7 @@ def product_recover_batch(code: ProductCode, words) -> np.ndarray:
     return rm_core.recover_batch(code.subcode, words)
 
 
-def _decode_fibers(comp: Component, source, written, axis: int, mode: str, counter) -> None:
+def _decode_fibers(comp: Component, source, written, axis: int, mode: str) -> None:
     """Run the component decoder along `axis` of the tensor `source`, writing
     its output into the same fibers of `written`, a tensor of the decoder's
     output dtype laid out as `source` (it may be `source`)."""
@@ -133,7 +139,28 @@ def _decode_fibers(comp: Component, source, written, axis: int, mode: str, count
         decoder = brute_force_soft_map_batch if mode == SOFT else brute_force_ml_decode_batch
     else:
         decoder = soft_fht_decode_batch if mode == SOFT else fht_ml_decode_batch
-    decoder(np.moveaxis(source, axis, -1), comp.code, counter, out=np.moveaxis(written, axis, -1))
+    decoder(np.moveaxis(source, axis, -1), comp.code, out=np.moveaxis(written, axis, -1))
+
+
+def decode_ops(code: ProductCode, mode: str, iterations: int) -> ops.OpCounter:
+    """The modeled work of decoding one frame (see `ops`): each iteration runs
+    every component's decoder steps once, on the n_t / n_q fibers of its axis
+    side by side."""
+    if mode not in (SOFT, HARD) or iterations < 1:
+        raise ValueError(f"mode must be 'soft' or 'hard' and iterations >= 1, got {mode!r}, {iterations}")
+    counter = ops.OpCounter()
+    for comp in code.components:
+        c = comp.code
+        if comp.decoder == BF_MAP:
+            steps = [ops.parity_check_step(c) if mode == SOFT and soft_fht.single_parity_check(c)
+                     else ops.exhaustive_search_step(c, mode == SOFT)]
+        elif mode == SOFT:
+            steps = [ops.fht_step(c), ops.info_bit_step(c), ops.min_sum_step(c)]
+        else:
+            steps = [ops.fht_step(c), ops.spectrum_search_step(c)]
+        for step in steps:
+            counter.add(step, code.n_t // c.n, iterations)
+    return counter
 
 
 def product_decode_batch(code: ProductCode, received, sigma2: float,
@@ -147,9 +174,10 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
     one axis are decoded as a single batch, in place on a view of the tensor;
     axes and iterations are sequential, and in hard mode every call after the
     first decodes bits.  LLRs that leave the float64 range raise ValueError.
+    A `counter` gets the decode's `decode_ops` for each frame.
     """
-    if sigma2 <= 0:
-        raise ValueError(f"noise variance must be positive, got {sigma2}")
+    if not (0.0 < sigma2 < np.inf and 2.0 / float(sigma2) < np.inf):
+        raise ValueError(f"noise variance must be positive with a finite LLR scale 2/sigma2, got {sigma2}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if mode not in (SOFT, HARD):
@@ -167,8 +195,10 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
             for iteration in range(iterations):
                 for index, comp in enumerate(code.components):
                     source = tensor if iteration == index == 0 else written
-                    _decode_fibers(comp, source, written, -1 - index, mode, counter)
+                    _decode_fibers(comp, source, written, -1 - index, mode)
     except FloatingPointError as exc:
         raise ValueError(f"the LLRs left the float64 range in {iterations} iterations ({exc})") from None
+    if counter is not None:
+        counter.add(decode_ops(code, mode, iterations), received.size // code.n_t)
     decided = written if mode == HARD else (tensor < 0.0).view(np.uint8)  # sign(0) = +1 maps to bit 0
     return decided.reshape(lead + (code.n_t,)), written.reshape(lead + code.tensor_shape)

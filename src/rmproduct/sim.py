@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import channel, product
-from .ops import OpCounter
 
 CHUNK_FRAMES = 256  # fixed batch size; part of the determinism contract
 # Version of the result values, recorded in the JSON config.  2: ops_per_decode
@@ -161,15 +160,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1  # macOS and Windows
 
 
-@lru_cache(maxsize=64)
-def _ops_per_decode(descriptor: str, mode: str, iterations: int) -> float:
-    """Counted operations of one decode; input-independent, so measured once."""
-    code = _cached_code(descriptor)
-    counter = OpCounter()
-    product.product_decode_batch(code, np.zeros(code.n_t), 1.0, iterations, mode, counter)
-    return float(counter.total())
-
-
 @dataclass
 class _Tally:
     """The tallies folded so far at one Eb/N0 point, and its frames submitted."""
@@ -277,7 +267,7 @@ def run_sweep(config: SimConfig) -> list[SimPoint]:
             bler=tally.block_errors / tally.frames,
             bler_ci_lo=ci_lo,
             bler_ci_hi=ci_hi,
-            ops_per_decode=_ops_per_decode(config.code, config.decoder, config.iterations),
+            ops_per_decode=float(product.decode_ops(code, config.decoder, config.iterations).total()),
         ))
     return points
 

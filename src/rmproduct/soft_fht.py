@@ -8,9 +8,10 @@ a min-sum prefix butterfly.  A brute-force soft-MAP over all 2^k codewords is
 the component decoder for small codes of order above one; on the
 single-parity-check codes rm(m, m-1) it takes the min-sum check-node rule,
 the exact max-log MAP of one parity check (Hagenauer, Offer, Papke, IEEE
-Trans. Inf. Theory, 1996), in O(n) per fiber.  Every kernel takes `out=` as
-those in `fht` do; the soft decoders return float64 LLRs, and the exhaustive
-hard ML decoder returns uint8 codeword bits, as `fht`'s does.
+Trans. Inf. Theory, 1996), in O(n) per fiber.  Every kernel takes the
+keyword `out=` and counts nothing, as those in `fht` do; the soft decoders
+return float64 LLRs, and the exhaustive hard ML decoder returns uint8
+codeword bits, as `fht`'s does.
 """
 
 from functools import lru_cache
@@ -25,7 +26,7 @@ MAX_BF_DIM = 16
 SCORE_BLOCK_SIZE = 1 << 17  # scores per codeword-major block copy (1 MiB): 1,024 fibers at k = 7
 
 
-def info_bit_llrs_batch(spectra, code, counter=None, out=None) -> np.ndarray:
+def info_bit_llrs_batch(spectra, code, *, out=None) -> np.ndarray:
     """Max-log LLRs of the m+1 information bits along the last axis of (..., n)
     spectra, into `out` if given (it may overlap the spectra).
 
@@ -37,21 +38,15 @@ def info_bit_llrs_batch(spectra, code, counter=None, out=None) -> np.ndarray:
     temporary is larger than a (pre, post) row.
     """
     block, written, result = fiber_block(spectra, code.n, out, code.k)
-    pre, n, post = block.shape
-    m = code.m
     peak, trough = block.max(axis=1), block.min(axis=1)
     magnitudes = np.abs(block, out=workspace(block.size)[1].reshape(block.shape))
     np.add(peak, trough, out=written[:, 0])
-    for b in range(m):
-        half = n >> (b + 1)
+    for b in range(code.m):
+        half = code.n >> (b + 1)
         low, high = magnitudes[:, :half], magnitudes[:, half : 2 * half]
         np.max(low, axis=1, out=written[:, b + 1])
         written[:, b + 1] -= high.max(axis=1)
         np.maximum(low, high, out=low)
-    if counter is not None:
-        counter.compare += pre * post * (2 * (n - 1) + m * (n - 2))
-        counter.add_sub += pre * post * (1 + m)
-        counter.depth += m + 1
     return result
 
 
@@ -72,7 +67,7 @@ def prefix_butterfly(op, first, rows, out=None):
     return out
 
 
-def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarray:
+def encoded_bit_llrs_batch(info_llrs, code, *, out=None) -> np.ndarray:
     """Min-sum LLRs of the n code positions along the last axis of (..., m+1)
     LLRs, into `out` if given (it may overlap the LLRs: all of them are read
     first).
@@ -91,14 +86,10 @@ def encoded_bit_llrs_batch(info_llrs, code, counter=None, out=None) -> np.ndarra
     prefix_butterfly(np.minimum, magnitudes[:, :1], magnitudes[:, 1:], least)
     flips = prefix_butterfly(np.logical_xor, negative[:, :1], negative[:, 1:])
     least *= bpsk_modulate(flips, scratch[: least.size].reshape(least.shape))
-    if counter is not None:
-        counter.compare += pre * post * (code.n - 1)
-        counter.sign_mult += pre * post * (code.n - 1)
-        counter.depth += code.m
     return result
 
 
-def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
+def soft_fht_decode_batch(llrs, code, *, out=None) -> np.ndarray:
     """Full SISO pipeline along the last axis of a (..., n) LLR array, into
     `out` if given (it may be `llrs`).  The spectra, and then the info-bit
     LLRs over them, lie at the head of the component decoders' workspace array
@@ -112,12 +103,17 @@ def soft_fht_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
     spare = workspace(block.size)[0]
     spectra = spare[: block.size].reshape(n, pre, post).transpose(1, 2, 0)
     info = spare[: code.k * pre * post].reshape(code.k, pre, post).transpose(1, 2, 0)
-    fht(block.swapaxes(1, 2), counter, out=spectra)
-    info_bit_llrs_batch(spectra, code, counter, out=info)
+    fht(block.swapaxes(1, 2), out=spectra)
+    info_bit_llrs_batch(spectra, code, out=info)
     moved = written[:, : code.k]
     moved[...] = info.swapaxes(1, 2)
-    encoded_bit_llrs_batch(moved.swapaxes(1, 2), code, counter, out=written.swapaxes(1, 2))
+    encoded_bit_llrs_batch(moved.swapaxes(1, 2), code, out=written.swapaxes(1, 2))
     return result
+
+
+def single_parity_check(code) -> bool:
+    """Whether `code` is rm(m, m-1), whose soft MAP takes the closed form."""
+    return code.r == code.m - 1
 
 
 def check_exhaustive_size(descriptor: str, k: int) -> None:
@@ -181,7 +177,7 @@ def _parity_check_kernel(block, written):
         written[:, j] *= 2.0
 
 
-def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray:
+def brute_force_soft_map_batch(llrs, code, *, out=None) -> np.ndarray:
     """Exact max-log soft MAP along the last axis of (..., n) LLRs, over any small code.
 
     Returns the code-position LLRs (..., n), in `out` if given (it may be
@@ -197,9 +193,8 @@ def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray
     """
     check_exhaustive_size(code.descriptor, code.k)
     block, written, result = fiber_block(llrs, code.n, out)
-    pre, n, post = block.shape
-    parity_check = code.r == code.m - 1
-    if parity_check:
+    pre, _, post = block.shape
+    if single_parity_check(code):
         _parity_check_kernel(block, written)
     else:
         signs, splits = _codebook(code)
@@ -212,17 +207,6 @@ def brute_force_soft_map_batch(llrs, code, counter=None, out=None) -> np.ndarray
                 for j, (zero, one) in enumerate(splits):
                     written[p : p + step_pre, j, q : q + step_post] = (
                         major[zero].max(axis=0) - major[one].max(axis=0))
-    if counter is not None:
-        rows, count = pre * post, 1 << code.k
-        if parity_check:  # the scan, then a tie test, a sign XOR and an add per position
-            counter.compare += rows * (3 * (n - 1) + n)
-            counter.sign_mult += rows * ((n - 1) + n)
-            counter.add_sub += rows * n
-            counter.depth += (n - 1) + 1
-        else:
-            counter.add_sub += rows * (count * (n - 1) + n)
-            counter.compare += rows * n * (count - 2)
-            counter.depth += (n.bit_length() - 1) + code.k + 1
     return result
 
 
@@ -234,7 +218,7 @@ def _ml_kernel(block, code, written):
     written[...] = signs[best[:, None, :], np.arange(code.n)[:, None]] < 0.0  # (pre, n, post)
 
 
-def brute_force_ml_decode_batch(llrs, code, counter=None, out=None) -> np.ndarray:
+def brute_force_ml_decode_batch(llrs, code, *, out=None) -> np.ndarray:
     """Exhaustive hard ML along the last axis of (..., n) float LLRs or uint8
     codeword bits, over any small code (ties to the lowest codeword index);
     returns the uint8 codeword bits (..., n), in uint8 `out` if given (it may
@@ -243,13 +227,6 @@ def brute_force_ml_decode_batch(llrs, code, counter=None, out=None) -> np.ndarra
     Bits are read as the +-1 words 1 - 2c; on a code with 2^(n+k) <= 2^21
     (every rm(2,r) and rm(3,r), rm(4,0) and rm(4,1)) they are served from a
     table of these decisions on all 2^n +-1 words (see `fht.hard_decode`).
-    Every call counts the operations of the exhaustive search.
     """
     check_exhaustive_size(code.descriptor, code.k)
-    decided = hard_decode(llrs, code, _ml_kernel, out)
-    if counter is not None:
-        rows, count, n = decided.size // code.n, 1 << code.k, code.n
-        counter.add_sub += rows * count * (n - 1)
-        counter.compare += rows * (count - 1)
-        counter.depth += (n.bit_length() - 1) + code.k
-    return decided
+    return hard_decode(llrs, code, _ml_kernel, out)

@@ -16,7 +16,7 @@ from oracles import (exhaustive_info_llrs, exhaustive_scores, min_nonzero_weight
                      sylvester)
 from rmproduct import rm_core, sim
 from rmproduct.fht import fht, fht_ml_decode_batch
-from rmproduct.ops import OpCounter
+from rmproduct.ops import OpCounter, fht_step
 from rmproduct.product import (
     product_code_from_descriptor,
     product_decode_batch,
@@ -162,9 +162,8 @@ def test_criterion_5_complexity_counters():
 
     for m in range(4, 13):
         n = 1 << m
-        counter = OpCounter()
-        fht(np.zeros(n), counter)
-        if counter.add_sub != n * m or counter.depth != m:
+        step = fht_step(rm_core.build_rm_code(m, 1))
+        if step.add_sub != n * m or step.depth != m:
             ok = False
             notes.append(f"fht n={n}")
 

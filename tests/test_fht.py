@@ -4,7 +4,8 @@ import pytest
 from oracles import exhaustive_scores, sylvester
 from rmproduct import rm_core
 from rmproduct.fht import fht, fht_ml_decode_batch
-from rmproduct.ops import OpCounter
+from rmproduct.ops import OpCounter, fht_step
+from rmproduct.product import product_code_from_descriptor, product_decode_batch
 
 
 def naive_ml(llr, code):
@@ -74,10 +75,9 @@ def test_rejects_non_power_of_two():
 def test_operation_count_and_depth():
     for m in range(4, 13):
         n = 1 << m
-        counter = OpCounter()
-        fht(np.zeros(n), counter)
-        assert counter.add_sub == n * m  # exactly n log2(n) adds/subs
-        assert counter.depth == m  # one level per butterfly stage
+        step = fht_step(rm_core.build_rm_code(m, 1))
+        assert step.add_sub == n * m  # exactly n log2(n) adds/subs
+        assert step.depth == m  # one level per butterfly stage
 
 
 def test_ml_decode_all_positive():
@@ -145,9 +145,10 @@ def test_codeword_hadamard_alignment():
 
 
 def test_counter_is_per_invocation():
+    # a one-iteration hard decode of rm(4,1) adds the FHT's add/subs alone
+    code = product_code_from_descriptor("rm(4,1)")
     a, b = OpCounter(), OpCounter()
-    fht(np.zeros(16), a)
-    fht(np.zeros(16), b)
-    fht(np.zeros(16), b)
+    for counter in (a, b, b):
+        product_decode_batch(code, np.zeros((1, 16)), 1.0, 1, "hard", counter)
     assert a.add_sub == 64
     assert b.add_sub == 128

@@ -31,9 +31,11 @@ from rmproduct import rm_core
 from rmproduct.channel import bpsk_modulate
 import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
-from rmproduct.ops import OpCounter
 from rmproduct.product import (
     BF_MAP,
+    Component,
+    ProductCode,
+    decode_ops,
     product_code_from_descriptor,
     product_decode_batch,
     product_encode_batch,
@@ -402,15 +404,15 @@ def test_soft_map_matches_the_mask_gather_oracle_across_score_blocks(m, r):
         lead = next(d for d in (3, 5, 7, 2, 1) if count % d == 0)  # 'view3' leading axis
         for layout in LAYOUTS:
             fibers = _lay_out(llrs, layout, (lead, count // lead))
-            counter = OpCounter()
-            fast = _as_fibers(brute_force_soft_map_batch(fibers, code, counter), layout)
+            fast = _as_fibers(brute_force_soft_map_batch(fibers, code), layout)
             # the oracle gets as many rows, so its product rounds the same way
             expected = exhaustive_code_llrs(llrs[: len(fast)], code)
             assert np.array_equal(fast, expected), (count, layout)
-            # the modeled work of the exhaustive search, independent of the blocks
-            assert counter.add_sub == len(fast) * (words * (code.n - 1) + code.n)
-            assert counter.compare == len(fast) * code.n * (words - 2)
-            assert counter.depth == m + code.k + 1
+    # the modeled work of the exhaustive search on one fiber, independent of the blocks
+    work = decode_ops(ProductCode([Component(code, BF_MAP)]), "soft", 1)
+    assert work.add_sub == words * (code.n - 1) + code.n
+    assert work.compare == code.n * (words - 2)
+    assert work.depth == m + code.k + 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import min_nonzero_weight, product_rows_generator
+from test_ops import PINNED
 from rmproduct import gf2, rm_core, soft_fht
 import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
@@ -13,6 +14,9 @@ from rmproduct.ops import OpCounter
 from rmproduct.product import (
     BF_MAP,
     SOFT_FHT,
+    Component,
+    ProductCode,
+    decode_ops,
     product_code_from_descriptor,
     product_decode_batch,
     product_encode_batch,
@@ -83,6 +87,19 @@ def test_descriptor_round_trip():
     assert code.descriptor == "rm(11,1)xrm(3,2):bfmap"
     again = product_code_from_descriptor(code.descriptor)
     assert (again.n_t, again.k_t) == (code.n_t, code.k_t)
+    # every component a Component accepts is named by its descriptor
+    for m, r in [(0, 0), (1, 0), (1, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
+        for decoder in (SOFT_FHT, BF_MAP) if r == 1 else (BF_MAP,):
+            code = ProductCode([Component(rm_core.build_rm_code(m, r), decoder)])
+            assert product_code_from_descriptor(code.descriptor).components == code.components
+
+
+@pytest.mark.parametrize("m, r, decoder", [
+    (3, 2, SOFT_FHT), (3, 0, SOFT_FHT), (3, 1, "nonsense"), (3, 1, "Soft-FHT"), (3, 1, None),
+])
+def test_component_refuses_a_decoder_it_cannot_run(m, r, decoder):
+    with pytest.raises(ValueError, match="decoder"):
+        Component(rm_core.build_rm_code(m, r), decoder)
 
 
 def test_higher_order_component_implies_bfmap():
@@ -363,6 +380,15 @@ def test_decode_validates_arguments():
         product_decode_batch(code, np.zeros(3), 1.0, 1, "soft")
 
 
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+@pytest.mark.parametrize("sigma2", [np.nan, np.float64(np.nan), np.inf, -np.inf, 5e-324])
+def test_decode_refuses_a_noise_variance_without_a_finite_llr_scale(mode, sigma2):
+    # a NaN or infinite LLR scale would decide the all-zero word for any input; 2/5e-324 is inf
+    code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
+    with pytest.raises(ValueError, match="noise variance"):
+        product_decode_batch(code, np.ones((4, code.n_t)), sigma2, 3, mode)
+
+
 def test_llrs_that_leave_the_float_range_are_refused():
     # soft LLRs grow about 256x an iteration on rm(6,1)xrm(2,1): 200 iterations reach inf and
     # then inf - inf, and a tiny noise variance overflows within 3
@@ -559,3 +585,33 @@ def test_decodes_in_threads_at_once_match_sequential_ones(mode):
         assert len(got) == 6
         for got_decided, got_tensors in got:
             assert np.array_equal(got_decided, decided) and np.array_equal(got_tensors, tensors)
+
+
+@pytest.mark.parametrize("descriptor, mode, iterations, counts", PINNED)
+def test_the_model_counts_each_frame_as_the_decoder_does(descriptor, mode, iterations, counts):
+    # work scales with the frames decoded side by side; the depth does not
+    code = product_code_from_descriptor(descriptor)
+    work = decode_ops(code, mode, iterations)
+    assert (work.add_sub, work.compare, work.sign_mult, work.depth) == counts
+    counter = OpCounter(depth=1)
+    product_decode_batch(code, np.zeros((5, code.n_t)), 1.0, iterations, mode, counter)
+    assert counter == OpCounter(5 * work.add_sub, 5 * work.compare, 5 * work.sign_mult, 1 + work.depth)
+
+
+def test_decode_ops_refuses_a_bad_setting():
+    code = product_code_from_descriptor("rm(3,1)")
+    with pytest.raises(ValueError, match="iterations"):
+        decode_ops(code, "soft", 0)
+    with pytest.raises(ValueError, match="mode"):
+        decode_ops(code, "Soft", 3)
+
+
+@pytest.mark.parametrize("kernel", [
+    fht, fht_ml_decode_batch, info_bit_llrs_batch, encoded_bit_llrs_batch, soft_fht_decode_batch,
+    brute_force_soft_map_batch, brute_force_ml_decode_batch,
+], ids=lambda kernel: kernel.__name__)
+def test_no_kernel_takes_a_counter(kernel):
+    # `out` is keyword-only, so a counter passed where it used to go is refused
+    code = rm_core.build_rm_code(2, 1)
+    with pytest.raises(TypeError):
+        kernel(np.zeros((1, code.n)), code, OpCounter())

@@ -89,21 +89,21 @@ def test_hard_mode_counts_fewer_operations():
 
 
 def test_operation_count_is_measured_once_per_setting(monkeypatch):
-    sim._ops_per_decode.cache_clear()
-    counted = []
+    # the count is the cost model's: the sweep decodes its chunks and no frame to count
+    counters = []
     decode = product.product_decode_batch
 
     def spy(code, received, sigma2, iterations=3, mode="soft", counter=None):
-        if counter is not None:
-            counted.append((code.descriptor, mode, iterations))
+        counters.append(counter)
         return decode(code, received, sigma2, iterations, mode, counter)
 
     monkeypatch.setattr(product, "product_decode_batch", spy)
-    first = quick_point(max_frames=8)
-    again = quick_point(max_frames=8, ebno_db=3.0)
-    quick_point(max_frames=8, mode="hard")
-    assert counted == [("rm(3,1)xrm(2,1)", "soft", 2), ("rm(3,1)xrm(2,1)", "hard", 2)]
-    assert first.ops_per_decode == again.ops_per_decode
+    code = product.product_code_from_descriptor("rm(3,1)xrm(2,1)")
+    for mode in ("soft", "hard"):
+        for ebno_db in (1.0, 3.0):
+            point = quick_point(max_frames=8, mode=mode, ebno_db=ebno_db)
+            assert point.ops_per_decode == product.decode_ops(code, mode, 2).total()
+    assert len(counters) == 4 and all(counter is None for counter in counters)
 
 
 def test_bler_monotone_in_ebno_up_to_ci_overlap():
@@ -225,8 +225,9 @@ def test_json_config_records_result_format():
 ])
 def test_ops_per_decode_of_the_benchmark_matrix(descriptor, soft, hard):
     assert sim.RESULT_FORMAT == 5
-    assert sim._ops_per_decode(descriptor, "soft", 3) == soft
-    assert sim._ops_per_decode(descriptor, "hard", 3) == hard
+    code = product.product_code_from_descriptor(descriptor)
+    assert product.decode_ops(code, "soft", 3).total() == soft
+    assert product.decode_ops(code, "hard", 3).total() == hard
 
 
 @pytest.mark.parametrize("descriptor, mode, ebno_db", [

@@ -7,7 +7,7 @@ from oracles import exhaustive_info_llrs, product_rows_generator
 from rmproduct import rm_core, soft_fht
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
-from rmproduct.product import product_code_from_descriptor
+from rmproduct.product import decode_ops, product_code_from_descriptor, product_decode_batch
 from rmproduct.soft_fht import (
     brute_force_ml_decode_batch,
     brute_force_soft_map_batch,
@@ -151,10 +151,8 @@ def test_soft_decode_operation_bound():
     # counted work stays within a fixed multiple of n log2(n)
     for m in range(4, 11):
         n = 1 << m
-        code = rm_core.build_rm_code(m, 1)
-        counter = OpCounter()
-        soft_fht_decode_batch(np.zeros((1, n)), code, counter)
-        assert counter.total() <= 4 * n * m, m
+        code = product_code_from_descriptor(f"rm({m},1)")
+        assert decode_ops(code, "soft", 1).total() <= 4 * n * m, m
 
 
 def test_brute_force_zero_input_gives_zero_llrs():
@@ -308,10 +306,9 @@ def test_brute_force_info_sign_matches_ml_word():
 
 
 def test_counters_accumulate_per_call():
-    code = rm_core.build_rm_code(4, 1)
+    code = product_code_from_descriptor("rm(4,1)")
     one, two = OpCounter(), OpCounter()
-    soft_fht_decode_batch(np.zeros((1, 16)), code, one)
-    soft_fht_decode_batch(np.zeros((1, 16)), code, two)
-    soft_fht_decode_batch(np.zeros((1, 16)), code, two)
+    for counter in (one, two, two):
+        product_decode_batch(code, np.zeros((1, 16)), 1.0, 1, "soft", counter)
     assert two.total() == 2 * one.total()
     assert two.depth == 2 * one.depth
