@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import bpsk_modulate
-from .rm_core import encode_batch
 
 MAX_TABLE_BITS = 21  # a hard decoder is tabulated on bit words when 2^(n+k) <= 2^21
 TABLE_BLOCK_SIZE = 1 << 17  # entries of the largest per-word array in one table-build block
@@ -187,8 +186,9 @@ def hard_decode(llrs, code, kernel, out=None):
 
 def _ml_kernel(block, code, written):
     """Hard ML codeword bits of a (pre, n, post) block, into `written`: the
-    spectrum entry of largest magnitude (ties to the smallest index, zero sign
-    treated as positive) names the information word, which is encoded.  The
+    Sylvester-Hadamard row at the spectrum entry of largest magnitude (ties to
+    the smallest index), negated when that entry is negative (zero sign
+    treated as positive), so bit x is parity(index & x) ^ (peak < 0).  The
     magnitudes are laid out fiber-major, (pre, post, n), so that argmax reads
     them in place."""
     pre, n, post = block.shape
@@ -197,10 +197,12 @@ def _ml_kernel(block, code, written):
     magnitudes = np.abs(spectra.swapaxes(1, 2), out=workspace(block.size)[1].reshape(pre, post, n))
     index = np.argmax(magnitudes, axis=2)
     peak = np.take_along_axis(spectra, index[:, None, :], axis=1)[:, 0]
-    infos = np.empty((pre, code.k, post), dtype=np.uint8)
-    infos[:, 0] = peak < 0.0
-    _word_bits(index, infos[:, :0:-1])  # bit j of the index is info bit m - j: MSB first
-    written[...] = np.moveaxis(encode_batch(code, np.moveaxis(infos, 1, -1)), -1, 1)
+    # the least unsigned type that holds every index and position: uint8 up to n = 2^8, and
+    # uint16 up to n = 2^16, the cap rm_core.MAX_M = 16 sets; numpy counts uint8 bits far faster
+    dtype = np.min_scalar_type(n - 1)
+    np.bitwise_count(index.astype(dtype)[:, None, :] & np.arange(n, dtype=dtype)[:, None], out=written)
+    written &= 1
+    written ^= (peak < 0.0)[:, None, :]
 
 
 def fht_ml_decode_batch(llrs, code, *, out=None):

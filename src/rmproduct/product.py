@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops, rm_core, soft_fht
+from . import channel, ops, rm_core, soft_fht
 from .fht import fht_ml_decode_batch
 from .soft_fht import brute_force_ml_decode_batch, brute_force_soft_map_batch, soft_fht_decode_batch
 
@@ -176,7 +176,7 @@ def product_decode_batch(code: ProductCode, received, sigma2: float,
     first decodes bits.  LLRs that leave the float64 range raise ValueError.
     A `counter` gets the decode's `decode_ops` for each frame.
     """
-    if not (0.0 < sigma2 < np.inf and 2.0 / float(sigma2) < np.inf):
+    if not channel.is_noise_variance(sigma2):
         raise ValueError(f"noise variance must be positive with a finite LLR scale 2/sigma2, got {sigma2}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")

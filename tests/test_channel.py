@@ -72,6 +72,11 @@ def test_parameter_validation():
         product.product_decode_batch(code, np.ones(4), -1.0)
     with pytest.raises(ValueError):
         channel.sigma2_to_snr_db(0.0)
+    for sigma2 in (math.nan, math.inf, 5e-324):  # NaN, infinite, or 2/sigma2 is inf
+        with pytest.raises(ValueError, match="noise variance"):
+            channel.sigma2_to_snr_db(sigma2)
+        with pytest.raises(ValueError, match="noise variance"):
+            product.product_decode_batch(code, np.ones(4), sigma2)
     with pytest.raises(ValueError):
         channel.ebno_db_to_sigma2(0.0, 0.0)
     with pytest.raises(ValueError):

@@ -107,6 +107,19 @@ def test_ml_decode_magnitude_tie_prefers_smallest_index():
     assert codeword.tolist() == [0, 0, 0, 0]
 
 
+def test_ml_decode_spectrum_indices_at_the_uint16_boundary():
+    # rm(16,1) has the longest fibers a code may have: its spectrum indices fill
+    # 16 bits, and each noisy codeword decodes to the word encoded from its sign
+    # and its index bits, most significant first
+    code = rm_core.build_rm_code(16, 1)
+    infos = np.array([[negative] + [(index >> j) & 1 for j in range(15, -1, -1)]
+                      for index in (65535, 32768, 1) for negative in (0, 1)], dtype=np.uint8)
+    codewords = rm_core.encode_batch(code, infos)
+    noise = np.random.default_rng(16).normal(size=codewords.shape)
+    decided = fht_ml_decode_batch(4.0 * (1.0 - 2.0 * codewords) + noise, code)
+    assert decided.dtype == np.uint8 and np.array_equal(decided, codewords)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_ml_decode_matches_exhaustive_search(m):
     code = rm_core.build_rm_code(m, 1)

@@ -1,8 +1,10 @@
 import io
 import json
+import math
 import os
 import re
 from concurrent.futures import Future
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -80,6 +82,30 @@ def test_snr_matches_rate_and_ebno():
     point = quick_point()
     # Eb/N0 (dB) = SNR (dB) - 10 log10(rate)
     assert point.snr_db == pytest.approx(point.ebno_db + 10 * np.log10(12 / 32), abs=1e-9)
+
+
+@pytest.mark.parametrize("descriptor, mode, ebno_db, decisions", [
+    # repetition products: max-log passes each fiber's sum on every axis, so the
+    # soft decision is the sign of the frame's total LLR, which is ML: one decision
+    ("rm(4,0)", "soft", 1.0, 1),
+    ("rm(3,0)xrm(2,0)", "soft", 0.0, 1),
+    # full spaces at rate 1: each of the n_t bits is decided by its own sign
+    ("rm(2,2)", "soft", 3.0, 4),
+    ("rm(2,2)", "hard", 3.0, 4),
+    ("rm(1,1)xrm(1,1)xrm(1,1)", "soft", 3.0, 8),
+])
+def test_bler_matches_its_closed_form_where_the_decoder_is_ml(descriptor, mode, ebno_db, decisions):
+    # BLER = 1 - (1 - p)^decisions, with p = Q(sqrt(2 Eb/N0)) the uncoded BPSK
+    # error rate: ties the BLER column to theory, so a sweep whose chunks see a
+    # noise variance other than the one it reports fails; seed and target fixed in advance
+    point = sim.run_point(descriptor, mode=mode, iterations=3, ebno_db=ebno_db,
+                          min_block_errors=2000, max_frames=10_000_000, seed=1)
+    p = 0.5 * math.erfc(math.sqrt(10.0 ** (ebno_db / 10.0)))
+    z = NormalDist().inv_cdf(0.9995)  # two-sided 99.9% Wilson score interval
+    phat, trials = point.bler, point.frames
+    center = (phat + z * z / (2 * trials)) / (1 + z * z / trials)
+    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / (1 + z * z / trials)
+    assert center - half <= 1.0 - (1.0 - p) ** decisions <= center + half, (trials, phat)
 
 
 def test_hard_mode_counts_fewer_operations():
