@@ -12,7 +12,10 @@ exhaustive oracle on every layout.  The hard decoders read LLRs or bits and
 return codeword bits.  They serve the bits of small codes from tables of their
 own decisions: on all 2^n bit words, in every layout, the table answers are
 checked against the kernels' answers on the same words as +-1 LLRs, and bits
-of codes too large to tabulate take the kernel on their +-1 words.  Every
+of codes too large to tabulate take the kernel on their +-1 words.  The hard
+ML kernel's two peak searches, a running compare and argmax, must decide
+alike for n = 2..64 (signed zeros included), and the FHT's m-pass and
+rotating (m + 2)-pass plans must agree bit for bit for m = 0..8.  Every
 component decoder, on the kernel and on the table path, must write over its
 input with `out=` exactly what it returns without it, in every layout: the
 soft decoders over LLRs, the hard decoders over bits.  The product decoder is
@@ -212,6 +215,67 @@ def test_hard_ml_matches_dense_argmax(m, case):
         got = _as_fibers(fht_ml_decode_batch(_lay_out(llrs, layout, shape),
                                              rm_core.build_rm_code(m, 1)), layout)
         assert got.dtype == np.uint8 and np.array_equal(got, codewords[: len(got)]), layout
+
+
+def _with_setting(name, value, run):
+    """`run()` with the `fht` module constant `name` set to `value`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fht_module, name, value)
+        return run()
+
+
+def _scan_and_argmax(run):
+    """`run()` with every fiber length's peak found by the running scan, then by argmax."""
+    return _with_setting("_MAX_SCAN_BITS", 6, run), _with_setting("_MAX_SCAN_BITS", 0, run)
+
+
+def _ml_kernel_bits(block, code):
+    written = np.empty(block.shape, dtype=np.uint8)
+    fht_module._ml_kernel(block, code, written)
+    return written
+
+
+@pytest.mark.parametrize("m", range(1, 7))  # n = 2..16 scan by default, n = 32, 64 take argmax
+@DIFFERENTIAL
+@given(draws(kinds=("normal", "zeros", "ties", "signed-zeros")))
+def test_hard_ml_scan_decides_as_argmax(m, case):
+    kind, shape, rng = case
+    n = 1 << m
+    if kind == "signed-zeros":  # every magnitude ties at 0; the peak's sign is that of S_0
+        llrs = np.where(rng.random((shape[0] * shape[1], n)) < 0.5, -0.0, 0.0)
+        llrs[0] = -0.0  # S_0 = -0.0, read as positive
+    else:
+        llrs = _values(rng, kind, (shape[0] * shape[1], n))
+    code = rm_core.build_rm_code(m, 1)
+    for layout in LAYOUTS:
+        fibers = _lay_out(llrs, layout, shape)
+        scanned, searched = _scan_and_argmax(lambda: fht_ml_decode_batch(fibers, code))
+        assert np.array_equal(scanned, searched), layout
+    for block in (llrs[:, :, None], llrs[:1, :, None]):  # the table's (words, n, 1), one fiber
+        scanned, searched = _scan_and_argmax(lambda: _ml_kernel_bits(block, code))
+        assert np.array_equal(scanned, searched)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_hard_tables_are_built_alike_by_scan_and_argmax(m):
+    code = rm_core.build_rm_code(m, 1)
+    build = fht_module._hard_table.__wrapped__  # uncached
+    scanned, searched = _scan_and_argmax(lambda: build(code, fht_module._ml_kernel))
+    assert np.array_equal(scanned, searched)
+    assert np.array_equal(scanned, fht_module._hard_table(code, fht_module._ml_kernel))
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_fht_in_m_passes_is_bit_identical_to_the_rotating_plan(m):
+    n = 1 << m
+    fibers = np.random.default_rng(m).normal(size=(24, n)) * 3.0
+    stored = np.ascontiguousarray(fibers.T)  # laid out (n, pre * post): a pre = 1 block
+    for values in (fibers, stored.T):
+        straight = _with_setting("_MAX_STRAIGHT_BITS", 8, lambda: fht(values))
+        rotated = _with_setting("_MAX_STRAIGHT_BITS", -1, lambda: fht(values))
+        assert np.array_equal(straight.view(np.uint64), rotated.view(np.uint64))
+        if m == 0:
+            assert np.array_equal(straight.view(np.uint64), values.view(np.uint64))
 
 
 def _table_lookups():

@@ -389,6 +389,26 @@ def test_decode_refuses_a_noise_variance_without_a_finite_llr_scale(mode, sigma2
         product_decode_batch(code, np.ones((4, code.n_t)), sigma2, 3, mode)
 
 
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("frames", [None, 3])
+def test_decode_refuses_received_samples_that_are_not_finite(mode, value, frames):
+    # decoded, a NaN frame (soft and hard) or an infinite one (hard) came out as the
+    # all-zero word, and soft infinities read as LLRs leaving the float range
+    code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
+    received = np.ones(code.n_t if frames is None else (frames, code.n_t))
+    received[..., 5] = value
+    with pytest.raises(ValueError, match=r"received samples must be finite, got \d+ NaN or infinite"):
+        product_decode_batch(code, received, 1.0, 3, mode)
+
+
+def test_huge_finite_samples_are_decoded():
+    code = product_code_from_descriptor("rm(3,1)xrm(2,1)")
+    sent = product_encode_batch(code, np.ones((2, code.k_t), dtype=np.uint8))
+    decided, _ = product_decode_batch(code, 1e200 * (1.0 - 2.0 * sent), 1e300, 1, "hard")
+    assert np.array_equal(decided, sent)
+
+
 def test_llrs_that_leave_the_float_range_are_refused():
     # soft LLRs grow about 256x an iteration on rm(6,1)xrm(2,1): 200 iterations reach inf and
     # then inf - inf, and a tiny noise variance overflows within 3
