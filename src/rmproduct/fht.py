@@ -7,11 +7,11 @@ else a fresh array that the caller owns) and the array it returns.  A
 component decoder's `out` may be its input itself, so product-tensor fibers
 are decoded in place along any axis.  Full-size work arrays come from
 `workspace`, one set per thread and size, so a steady-state decode faults no
-work array in.  The FHT runs its stages in the layout of the block it
-writes, whatever the input's: in m passes when that block lies in memory as
-the input does and m <= 5, else in m + 2, two of them copies that rotate the
-index bits.  No kernel counts its work: the cost model of every step is in
-`ops`.
+work array in.  The FHT runs every stage with the fiber axis slowest,
+(n, pre, post), whatever the input's layout: in m passes when the input is
+already laid out so (pre = 1), else in m + 2, two of them copies that rotate
+the index bits into that layout.  No kernel counts its work: the cost model
+of every step is in `ops`.
 
 Both hard decoders (here and in `soft_fht`) read float LLRs or uint8 codeword
 bits and write uint8 codeword bits.  In hard product decoding every component
@@ -35,12 +35,6 @@ TABLE_BLOCK_SIZE = 1 << 17  # entries of the largest per-word array in one table
 # argmax -> scan, ms (2-core x86-64 VM, numpy 2.4): n=2 2.07->0.70, n=4 1.79->0.88,
 # n=8 1.72->1.15, n=16 1.68->1.35, n=32 1.72->1.78, n=64 1.58->1.91.
 _MAX_SCAN_BITS = 4
-# Up to m = 5 the FHT runs its m stages straight, without the two rotating copies, when the
-# block it writes lies in memory as its input.  C-ordered (pre, n, post) blocks, rotating ->
-# straight, ms, same host: (64, 8, 256) 0.85->0.74, (1, 16, 8192) 1.05->0.91, (1, 32, 4096)
-# 0.76->0.67, (64, 32, 64) 1.51->1.46, (16, 32, 256) 1.18->1.21; at m = 6 and 7 the rotating
-# plan wins, (4, 64, 256) 0.40->0.46 and (2, 128, 256) 0.37->0.43.
-_MAX_STRAIGHT_BITS = 5
 
 
 @lru_cache(maxsize=4)
@@ -52,8 +46,8 @@ def workspace(size):
     """This thread's two flat float64 work arrays of `size` elements, cached
     for the last few (size, thread) pairs.  Each nesting level owns one:
     [0] a component decoder's spectra (and the soft decoder's info LLRs),
-    [1] a step kernel's scratch (the FHT's ping-pong partner, laid out as the
-    block it writes; |S|, the min-sum magnitudes and signs).  Keying by
+    [1] a step kernel's scratch (the FHT's ping-pong partner, laid out
+    (n, pre, post); |S|, the min-sum magnitudes and signs).  Keying by
     thread keeps concurrent decodes apart, as numpy releases the GIL.
     """
     return _workspace(size, threading.get_ident())
@@ -102,17 +96,20 @@ def fht(values, *, out=None):
     log2(n) butterfly stages, each doing exactly n additions/subtractions per
     fiber; applying it twice returns n times the input.  Does not mutate the
     input; returns a float64 array of the same shape, `out` if given (it must
-    not overlap the input).  The passes alternate between the written block
-    and a workspace partner laid out like it, the last landing in the written
-    block, and both plans below transform index bits 0..m-1 in that order, so
-    they give the same bits.  When m <= _MAX_STRAIGHT_BITS and the written
-    block lies in memory as the input block does (the hard ML kernel's
-    blocks, the hard tables' (words, n, 1) blocks, the soft decoder's pre = 1
-    axis), the m stages run straight: m passes.  Otherwise there are m + 2:
-    the low m//2 index bits are transformed first, then the rest; each group
-    starts with a pass that copies the data with its index bits rotated so
-    that the group's bits are the slowest, so no stage pairs runs shorter than
-    2^(m//2) entries of the fiber axis.  At n = 1 the one pass is a copy.
+    not overlap the input).  Every pass runs with the fiber axis slowest: it
+    sees its source and target as (n, pre, post), so stage b pairs runs of
+    2^b * pre * post entries.  The passes alternate between the written block
+    seen as (n, pre, post) and a workspace partner of that shape, the last
+    landing in the written block.  The decoders' spectra lie in memory that
+    way; a written block that does not (only a direct call makes one) has
+    its passes run in a fresh array, copied to it at the end.  A block
+    already fiber slowest (pre = 1) is read in place by the m stages: m
+    passes.  Any other takes m + 2: the low m//2 index bits are transformed
+    first, then the rest, each group after a pass that copies the data into
+    (n, pre, post) with its index bits rotated so that the group's bits are
+    the slowest, so no stage pairs runs shorter than 2^(m//2) * pre * post
+    entries.  Both plans transform index bits 0..m-1 in that order, so they
+    give the same bits.  At n = 1 the one pass is a copy.
     """
     if out is not None and np.may_share_memory(values, out):
         raise ValueError("fht's out must not overlap its input")
@@ -124,48 +121,40 @@ def fht(values, *, out=None):
     if m == 0:
         written[...] = block
         return result
-    straight = m <= _MAX_STRAIGHT_BITS and _slowest_first(written)
-    buffers = (written, _laid_out_like(workspace(block.size)[1], written))
-    source, turn = block, (m + 1) % 2  # m or m + 2 passes, the last into `written`
-    for low in (m,) if straight else (m // 2, m - m // 2):
-        if not straight:
+    slowest = written.transpose(1, 0, 2)
+    target = slowest if slowest.flags.c_contiguous else np.empty((n, pre, post))
+    buffers = (target, workspace(block.size)[1].reshape(n, pre, post))
+    source, turn = block.transpose(1, 0, 2), (m + 1) % 2  # m or m + 2 passes, the last into `target`
+    for low in (m,) if pre == 1 else (m // 2, m - m // 2):
+        if pre > 1:
             # rotate the index bits right by `low`: the bits transformed next become the slowest
-            into = buffers[turn].reshape((pre, 1 << low, n >> low, post), copy=False)
-            into[...] = source.reshape(pre, n >> low, 1 << low, post).swapaxes(1, 2)
+            into = buffers[turn].reshape((1 << low, n >> low, pre, post), copy=False)
+            into[...] = source.reshape(n >> low, 1 << low, pre, post).swapaxes(0, 1)
             source, turn = buffers[turn], 1 - turn
         for stage in range(m - low, m):
-            shape = (pre, n >> (stage + 1), 2, 1 << stage, post)
+            shape = (n >> (stage + 1), 2, 1 << stage, pre, post)
             pairs = source.reshape(shape)
             into = buffers[turn].reshape(shape, copy=False)  # splits one axis: a view
-            np.add(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 0])
-            np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 1])
+            np.add(pairs[:, 0], pairs[:, 1], out=into[:, 0])
+            np.subtract(pairs[:, 0], pairs[:, 1], out=into[:, 1])
             source, turn = buffers[turn], 1 - turn
+    if target is not slowest:
+        slowest[...] = target
     return result
 
 
-def _slowest_first(block):
-    """Whether the axes of `block` longer than one lie in memory in their own order."""
-    strides = [stride for stride, length in zip(block.strides, block.shape) if length > 1]
-    return strides == sorted(strides, reverse=True)
-
-
-def _laid_out_like(flat, block):
-    """The head of a flat array in `block`'s shape, its axes in memory in `block`'s order."""
-    order = np.argsort(block.strides)[::-1]
-    return flat[: block.size].reshape(np.take(block.shape, order)).transpose(np.argsort(order))
-
-
 def _word_indices(bits):
-    """(pre, post) uint16 index of each fiber of a (pre, n, post) uint8 bit
-    block, with bit j from position j."""
-    shifts = np.arange(bits.shape[1], dtype=np.uint16)[:, None]
-    return np.bitwise_or.reduce(np.left_shift(bits, shifts, dtype=np.uint16), axis=1)
+    """(pre, post) index of each fiber of a (pre, n, post) uint8 bit block,
+    with bit j from position j, in the least unsigned type of 2^n - 1."""
+    n = bits.shape[1]
+    weights = 1 << np.arange(n, dtype=np.min_scalar_type((1 << n) - 1))[:, None]
+    return np.bitwise_or.reduce(bits * weights, axis=1)
 
 
 def _word_bits(indices, out):
     """Bit j of each (pre, post) word index, into position j of the (pre, n,
     post) uint8 block `out`."""
-    shifts = np.arange(out.shape[1], dtype=np.uint16)[:, None]
+    shifts = np.arange(out.shape[1], dtype=indices.dtype)[:, None]
     np.right_shift(indices[:, None, :], shifts, out=out, casting="unsafe")
     out &= 1
 
@@ -173,17 +162,18 @@ def _word_bits(indices, out):
 @lru_cache(maxsize=None)
 def _hard_table(code, kernel):
     """Word index of `kernel`'s decision on each +-1 word, by the word's index
-    (bit j set where position j is -1).
+    (bit j set where position j is -1), both in the least unsigned type of
+    2^n - 1: uint8 up to n = 8, else uint16 (n <= 16 whenever a table is built).
 
     Built a block of TABLE_BLOCK_SIZE >> max(m, k) words at a time, so that
     the words, their spectra or their 2^k correlations stay near 1 MiB; the
     correlations of +-1 words are integers, so blocking cannot change them.
     """
     words = 1 << code.n
-    table = np.empty(words, dtype=np.uint16)  # n <= 16 whenever a table is built
+    table = np.empty(words, dtype=np.min_scalar_type(words - 1))
     step = TABLE_BLOCK_SIZE >> max(code.m, code.k)
     for start in range(0, words, step):
-        index = np.arange(start, min(words, start + step), dtype=np.uint16)[:, None]  # post = 1
+        index = np.arange(start, min(words, start + step), dtype=table.dtype)[:, None]  # post = 1
         bits = np.empty((len(index), code.n, 1), dtype=np.uint8)
         _word_bits(index, bits)
         kernel(bpsk_modulate(bits), code, bits)
@@ -218,12 +208,14 @@ def _ml_kernel(block, code, written):
     Sylvester-Hadamard row at the spectrum entry of largest magnitude (ties to
     the smallest index), negated when that entry is negative (zero sign
     treated as positive), so bit x is parity(index & x) ^ (peak < 0).  The
-    spectra lie in the block's layout.  Up to n = 2^_MAX_SCAN_BITS the peak is
-    found by one running compare over the n (pre, post) spectrum rows
-    (`_scan_peaks`); longer fibers take argmax over the magnitudes laid out
-    fiber-major, (pre, post, n), so that it reads them in place."""
+    spectra lie with the fiber axis slowest, (n, pre, post), whatever the
+    block's layout, so the FHT writes them in its own layout.  Up to
+    n = 2^_MAX_SCAN_BITS the peak is found by one running compare over the n
+    contiguous (pre, post) spectrum rows (`_scan_peaks`); longer fibers take
+    argmax over the magnitudes copied fiber-major, (pre, post, n), so that it
+    reads them in place."""
     pre, n, post = block.shape
-    spectra = workspace(block.size)[0].reshape(block.shape)
+    spectra = workspace(block.size)[0].reshape(n, pre, post).transpose(1, 0, 2)
     fht(block.swapaxes(1, 2), out=spectra.swapaxes(1, 2))
     scratch = workspace(block.size)[1]
     if n <= 1 << _MAX_SCAN_BITS:
@@ -242,7 +234,8 @@ def _ml_kernel(block, code, written):
 def _scan_peaks(spectra, scratch):
     """The uint8 index and sign bit of the entry of largest magnitude in each
     fiber of a (pre, n, post) spectrum block, n <= 16, by one running
-    strict-greater compare over its n (pre, post) rows.
+    strict-greater compare over its n (pre, post) rows, each contiguous when
+    the spectra lie (n, pre, post).
 
     A running uint8 max keeps greater_j * (2j + [S_j < 0]): an entry that beats
     the best magnitude so far outranks every earlier key, and one that only

@@ -49,6 +49,20 @@ def sylvester(m: int) -> np.ndarray:
     return h
 
 
+def fht_reference(values) -> np.ndarray:
+    """Sylvester-Hadamard transform along the last axis of a C-ordered float64
+    copy of `values` by plain butterfly stages, index bit 0 first: each entry
+    is rounded as by any FHT whose stages run in the order 0..m-1."""
+    a = np.array(values, dtype=np.float64, order="C")
+    n = a.shape[-1]
+    for b in range(n.bit_length() - 1):
+        pairs = a.reshape(a.shape[:-1] + (n >> (b + 1), 2, 1 << b))
+        low, high = pairs[..., 0, :].copy(), pairs[..., 1, :].copy()
+        np.add(low, high, out=pairs[..., 0, :])
+        np.subtract(low, high, out=pairs[..., 1, :])
+    return a
+
+
 def exhaustive_scores(block, code):
     """Correlations of each LLR row against every +-1 codeword, and the codewords,
     C-ordered as the decoders' codebook is, so that the product rounds as theirs."""

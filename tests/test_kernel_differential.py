@@ -14,14 +14,16 @@ own decisions: on all 2^n bit words, in every layout, the table answers are
 checked against the kernels' answers on the same words as +-1 LLRs, and bits
 of codes too large to tabulate take the kernel on their +-1 words.  The hard
 ML kernel's two peak searches, a running compare and argmax, must decide
-alike for n = 2..64 (signed zeros included), and the FHT's m-pass and
-rotating (m + 2)-pass plans must agree bit for bit for m = 0..8.  Every
-component decoder, on the kernel and on the table path, must write over its
-input with `out=` exactly what it returns without it, in every layout: the
-soft decoders over LLRs, the hard decoders over bits.  The product decoder is
-checked bit for bit against the row-by-row decoder it replaced (index-set
-max-log, min-sum over generator column supports, a copy of each axis'
-fibers), kept here as a reference.
+alike for n = 2..64 (signed zeros included), and each hard table, indexed in
+uint8 up to n = 8 and in uint16 beyond, must hold its kernel's decisions on
+every word.  The FHT, in place or through its rotating copies, into a written
+block of any layout, must round bit for bit as the oracle's plain stages in
+bit order for m = 0..11.  Every component decoder, on the kernel and on the
+table path, must write over its input with `out=` exactly what it returns
+without it, in every layout: the soft decoders over LLRs, the hard decoders
+over bits.  The product decoder is checked bit for bit against the row-by-row
+decoder it replaced (index-set max-log, min-sum over generator column
+supports, a copy of each axis' fibers), kept here as a reference.
 """
 
 import numpy as np
@@ -29,10 +31,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_code_llrs, product_rows_generator
+from oracles import exhaustive_code_llrs, fht_reference, product_rows_generator
 from rmproduct import rm_core
 from rmproduct.channel import bpsk_modulate
 import rmproduct.fht as fht_module
+import rmproduct.soft_fht as soft_fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.product import (
     BF_MAP,
@@ -229,9 +232,9 @@ def _scan_and_argmax(run):
     return _with_setting("_MAX_SCAN_BITS", 6, run), _with_setting("_MAX_SCAN_BITS", 0, run)
 
 
-def _ml_kernel_bits(block, code):
+def _ml_kernel_bits(block, code, kernel=fht_module._ml_kernel):
     written = np.empty(block.shape, dtype=np.uint8)
-    fht_module._ml_kernel(block, code, written)
+    kernel(block, code, written)
     return written
 
 
@@ -265,17 +268,49 @@ def test_hard_tables_are_built_alike_by_scan_and_argmax(m):
     assert np.array_equal(scanned, fht_module._hard_table(code, fht_module._ml_kernel))
 
 
-@pytest.mark.parametrize("m", range(0, 9))
-def test_fht_in_m_passes_is_bit_identical_to_the_rotating_plan(m):
+def _fht_inputs(m):
+    """(pre, post, n) views of C-ordered (pre, n, post) blocks with few fibers
+    and with many, pre = 1 blocks (one fiber, and fibers stored (n, count)),
+    strided views, and plain C-ordered (count, n) fibers."""
     n = 1 << m
-    fibers = np.random.default_rng(m).normal(size=(24, n)) * 3.0
-    stored = np.ascontiguousarray(fibers.T)  # laid out (n, pre * post): a pre = 1 block
-    for values in (fibers, stored.T):
-        straight = _with_setting("_MAX_STRAIGHT_BITS", 8, lambda: fht(values))
-        rotated = _with_setting("_MAX_STRAIGHT_BITS", -1, lambda: fht(values))
-        assert np.array_equal(straight.view(np.uint64), rotated.view(np.uint64))
+    rng = np.random.default_rng(m)
+    few, many = (rng.normal(size=(pre, n, post)) * 3.0 for pre, post in ((8, 8), (32, 64)))
+    spaced = rng.normal(size=(4, n, 2 * 8)) * 3.0
+    stored = rng.normal(size=(n, 24)) * 3.0
+    return [few.swapaxes(1, 2), many.swapaxes(1, 2), stored[:, 0], stored.T,
+            spaced[:, :, ::2].swapaxes(1, 2), spaced[::2, :, 1::2].swapaxes(1, 2), stored.T[::2],
+            np.ascontiguousarray(stored.T)]
+
+
+@pytest.mark.parametrize("m", range(0, 12))
+def test_fht_rounds_as_plain_stages_in_bit_order(m):
+    # every plan, in place (pre = 1) or rotating, into any layout of the written
+    # block, transforms index bits 0..m-1 in that order: bit for bit the oracle's
+    for values in _fht_inputs(m):
+        expected = fht_reference(values).view(np.uint64)
+        fiber_slowest = np.empty(np.moveaxis(values, -1, 0).shape)
+        for out in (None, np.empty(values.shape), np.moveaxis(fiber_slowest, 0, -1)):
+            got = fht(values, out=out)
+            assert out is None or got is out
+            assert np.array_equal(got.view(np.uint64), expected), (values.shape, values.strides)
         if m == 0:
-            assert np.array_equal(straight.view(np.uint64), values.view(np.uint64))
+            assert np.array_equal(expected, np.asarray(values).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_word_indices_and_bits_round_trip_in_the_least_type(n):
+    # uint8 up to n = 8, uint16 above; every word up to n = 12, random ones beyond
+    indices = (np.arange(1 << n) if n <= 12
+               else np.random.default_rng(n).integers(0, 1 << n, 4096))
+    least = np.uint8 if n <= 8 else np.uint16
+    for pre, post in ((len(indices), 1), (1, len(indices)), (2, len(indices) // 2)):
+        words = indices.astype(least).reshape(pre, post)
+        bits = np.empty((pre, n, post), dtype=np.uint8)
+        fht_module._word_bits(words, bits)
+        assert np.array_equal(bits.swapaxes(1, 2).reshape(-1, n),
+                              (indices[:, None] >> np.arange(n)) & 1)
+        back = fht_module._word_indices(bits)
+        assert back.dtype == least and np.array_equal(back, words)
 
 
 def _table_lookups():
@@ -286,6 +321,17 @@ def _table_lookups():
 def _bit_words(n):
     """All 2^n uint8 words of length n; word i has bit j of i at position j."""
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("m, r", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 3), (4, 0)])
+def test_hard_tables_hold_the_kernel_decisions_on_every_word(m, r):
+    code = rm_core.build_rm_code(m, r)
+    kernel = fht_module._ml_kernel if r == 1 else soft_fht_module._ml_kernel
+    words = _bit_words(code.n)
+    decided = _ml_kernel_bits(bpsk_modulate(words)[:, :, None], code, kernel)[:, :, 0]
+    table = fht_module._hard_table(code, kernel)
+    assert table.dtype == (np.uint8 if code.n <= 8 else np.uint16)
+    assert np.array_equal(table, decided.astype(np.int64) @ (1 << np.arange(code.n)))
 
 
 @pytest.mark.parametrize("decoder, m, r", [
