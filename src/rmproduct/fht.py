@@ -9,9 +9,9 @@ are decoded in place along any axis.  Full-size work arrays come from
 `workspace`, one set per thread and size, so a steady-state decode faults no
 work array in.  The FHT runs every stage with the fiber axis slowest,
 (n, pre, post), whatever the input's layout: in m passes when the input is
-already laid out so (pre = 1), else in m + 2, two of them copies that rotate
-the index bits into that layout.  No kernel counts its work: the cost model
-of every step is in `ops`.
+already laid out so (pre = 1) and m <= 5, else in m + 2, two of them copies
+that rotate the index bits into that layout.  No kernel counts its work: the
+cost model of every step is in `ops`.
 
 Both hard decoders (here and in `soft_fht`) read float LLRs or uint8 codeword
 bits and write uint8 codeword bits.  In hard product decoding every component
@@ -35,6 +35,12 @@ TABLE_BLOCK_SIZE = 1 << 17  # entries of the largest per-word array in one table
 # argmax -> scan, ms (2-core x86-64 VM, numpy 2.4): n=2 2.07->0.70, n=4 1.79->0.88,
 # n=8 1.72->1.15, n=16 1.68->1.35, n=32 1.72->1.78, n=64 1.58->1.91.
 _MAX_SCAN_BITS = 4
+# Up to m = 5 the FHT reads a pre = 1 block in place, without the two rotating copies; above,
+# the copies win on blocks that fit in cache.  (1, n, post) blocks, rotating -> in place, ms
+# (2-core x86-64 VM, numpy 2.4): (1, 16, 4096) 0.23->0.20, (1, 32, 4096) 0.67->0.57,
+# (1, 64, 256) 0.12->0.15, (1, 128, 256) 0.30->0.36, (1, 256, 256) 0.45->0.62,
+# (1, 64, 1024) 0.33->0.41, (1, 64, 4096) 2.32->1.94, (1, 256, 2048) 6.40->6.32.
+_MAX_STRAIGHT_BITS = 5
 
 
 @lru_cache(maxsize=4)
@@ -101,10 +107,11 @@ def fht(values, *, out=None):
     2^b * pre * post entries.  The passes alternate between the written block
     seen as (n, pre, post) and a workspace partner of that shape, the last
     landing in the written block.  The decoders' spectra lie in memory that
-    way; a written block that does not (only a direct call makes one) has
-    its passes run in a fresh array, copied to it at the end.  A block
-    already fiber slowest (pre = 1) is read in place by the m stages: m
-    passes.  Any other takes m + 2: the low m//2 index bits are transformed
+    way; a written block that does not (only a direct call makes one, such
+    as fht(x) on C-ordered (count, n) fibers) takes its passes through that
+    strided view, several times slower.  A block already fiber slowest
+    (pre = 1) with m <= _MAX_STRAIGHT_BITS is read in place by the m stages:
+    m passes.  Any other takes m + 2: the low m//2 index bits are transformed
     first, then the rest, each group after a pass that copies the data into
     (n, pre, post) with its index bits rotated so that the group's bits are
     the slowest, so no stage pairs runs shorter than 2^(m//2) * pre * post
@@ -121,12 +128,11 @@ def fht(values, *, out=None):
     if m == 0:
         written[...] = block
         return result
-    slowest = written.transpose(1, 0, 2)
-    target = slowest if slowest.flags.c_contiguous else np.empty((n, pre, post))
-    buffers = (target, workspace(block.size)[1].reshape(n, pre, post))
-    source, turn = block.transpose(1, 0, 2), (m + 1) % 2  # m or m + 2 passes, the last into `target`
-    for low in (m,) if pre == 1 else (m // 2, m - m // 2):
-        if pre > 1:
+    straight = pre == 1 and m <= _MAX_STRAIGHT_BITS
+    buffers = (written.transpose(1, 0, 2), workspace(block.size)[1].reshape(n, pre, post))
+    source, turn = block.transpose(1, 0, 2), (m + 1) % 2  # m or m + 2 passes, the last into `written`
+    for low in (m,) if straight else (m // 2, m - m // 2):
+        if not straight:
             # rotate the index bits right by `low`: the bits transformed next become the slowest
             into = buffers[turn].reshape((1 << low, n >> low, pre, post), copy=False)
             into[...] = source.reshape(n >> low, 1 << low, pre, post).swapaxes(0, 1)
@@ -138,8 +144,6 @@ def fht(values, *, out=None):
             np.add(pairs[:, 0], pairs[:, 1], out=into[:, 0])
             np.subtract(pairs[:, 0], pairs[:, 1], out=into[:, 1])
             source, turn = buffers[turn], 1 - turn
-    if target is not slowest:
-        slowest[...] = target
     return result
 
 

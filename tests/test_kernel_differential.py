@@ -10,13 +10,12 @@ against a mask-gather oracle on fiber counts around its score blocks, and on
 the single-parity-check codes, where it takes a closed form, against the
 exhaustive oracle on every layout.  The hard decoders read LLRs or bits and
 return codeword bits.  They serve the bits of small codes from tables of their
-own decisions: on all 2^n bit words, in every layout, the table answers are
-checked against the kernels' answers on the same words as +-1 LLRs, and bits
-of codes too large to tabulate take the kernel on their +-1 words.  The hard
-ML kernel's two peak searches, a running compare and argmax, must decide
-alike for n = 2..64 (signed zeros included), and each hard table, indexed in
-uint8 up to n = 8 and in uint16 beyond, must hold its kernel's decisions on
-every word.  The FHT, in place or through its rotating copies, into a written
+own decisions, indexed in uint8 up to n = 8 and in uint16 beyond: on all 2^n
+bit words, in every layout, the table answers are checked against the
+kernels' answers on the same words as +-1 LLRs, and bits of codes too large
+to tabulate take the kernel on their +-1 words.  The hard ML kernel's two
+peak searches, a running compare and argmax, must decide alike for n = 2..64
+(signed zeros included).  The FHT, in place or through its rotating copies, into a written
 block of any layout, must round bit for bit as the oracle's plain stages in
 bit order for m = 0..11.  Every component decoder, on the kernel and on the
 table path, must write over its input with `out=` exactly what it returns
@@ -232,9 +231,9 @@ def _scan_and_argmax(run):
     return _with_setting("_MAX_SCAN_BITS", 6, run), _with_setting("_MAX_SCAN_BITS", 0, run)
 
 
-def _ml_kernel_bits(block, code, kernel=fht_module._ml_kernel):
+def _ml_kernel_bits(block, code):
     written = np.empty(block.shape, dtype=np.uint8)
-    kernel(block, code, written)
+    fht_module._ml_kernel(block, code, written)
     return written
 
 
@@ -323,31 +322,24 @@ def _bit_words(n):
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
-@pytest.mark.parametrize("m, r", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 3), (4, 0)])
-def test_hard_tables_hold_the_kernel_decisions_on_every_word(m, r):
-    code = rm_core.build_rm_code(m, r)
-    kernel = fht_module._ml_kernel if r == 1 else soft_fht_module._ml_kernel
-    words = _bit_words(code.n)
-    decided = _ml_kernel_bits(bpsk_modulate(words)[:, :, None], code, kernel)[:, :, 0]
-    table = fht_module._hard_table(code, kernel)
-    assert table.dtype == (np.uint8 if code.n <= 8 else np.uint16)
-    assert np.array_equal(table, decided.astype(np.int64) @ (1 << np.arange(code.n)))
-
-
 @pytest.mark.parametrize("decoder, m, r", [
     (fht_ml_decode_batch, 1, 1),
     (fht_ml_decode_batch, 2, 1),
     (fht_ml_decode_batch, 3, 1),
     (fht_ml_decode_batch, 4, 1),
     (fht_ml_decode_batch, 5, 1),  # 2^(n+k) > 2^21: never tabulated
+    (brute_force_ml_decode_batch, 2, 2),
     (brute_force_ml_decode_batch, 3, 1),
     (brute_force_ml_decode_batch, 3, 2),
+    (brute_force_ml_decode_batch, 3, 3),
+    (brute_force_ml_decode_batch, 4, 0),  # n = 16: a uint16 table
     (brute_force_ml_decode_batch, 4, 2),  # never tabulated
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_hard_decoders_serve_pm1_words_as_their_kernel_decides_them(decoder, m, r):
-    # bits of a small code are served from a table, and bits of a larger one
-    # take the kernel; as +-1 LLRs the same words always take the kernel, and
-    # their sums are exact, so every decision and tie must agree
+    # bits of a small code are served from a table, indexed in uint8 up to
+    # n = 8 and in uint16 beyond, and bits of a larger one take the kernel; as
+    # +-1 LLRs the same words always take the kernel, and their sums are
+    # exact, so every decision and tie must agree
     code = rm_core.build_rm_code(m, r)
     tabulated = code.n + code.k <= fht_module.MAX_TABLE_BITS
     words = (_bit_words(code.n) if tabulated
@@ -359,6 +351,11 @@ def test_hard_decoders_serve_pm1_words_as_their_kernel_decides_them(decoder, m, 
         assert decided.dtype == np.uint8
         assert np.array_equal(decided, decoder(bpsk_modulate(fibers), code)), layout
     assert _table_lookups() == lookups + tabulated * len(LAYOUTS)  # one lookup a tabulated layout
+    if tabulated:
+        kernel = {fht_ml_decode_batch: fht_module._ml_kernel,
+                  brute_force_ml_decode_batch: soft_fht_module._ml_kernel}[decoder]
+        least = np.uint8 if code.n <= 8 else np.uint16
+        assert fht_module._hard_table(code, kernel).dtype == least
 
 
 @pytest.mark.parametrize("decoder, m, r", [
