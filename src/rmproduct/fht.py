@@ -13,11 +13,11 @@ already laid out so (pre = 1) and m <= 5, else in m + 2, two of them copies
 that rotate the index bits into that layout.  No kernel counts its work: the
 cost model of every step is in `ops`.
 
-Both hard decoders (here and in `soft_fht`) read float LLRs or uint8 codeword
-bits and write uint8 codeword bits.  In hard product decoding every component
-call after the first reads the bits the previous axis decided; on a small code
-they are served from a table of the decoder's own decisions on all 2^n +-1
-words (`hard_decode`).
+Both hard decoders (here and in `soft_fht`) read float LLRs or uint8 0/1
+codeword bits and write uint8 codeword bits.  In hard product decoding every
+component call after the first reads the bits the previous axis decided; on a
+small code they are served from a table of the decoder's own decisions on all
+2^n +-1 words (`hard_decode`).
 """
 
 import math
@@ -30,11 +30,6 @@ from .channel import bpsk_modulate
 
 MAX_TABLE_BITS = 21  # a hard decoder is tabulated on bit words when 2^(n+k) <= 2^21
 TABLE_BLOCK_SIZE = 1 << 17  # entries of the largest per-word array in one table-build block
-# Up to n = 2^4 hard ML finds each spectrum peak by a running compare over the n spectrum
-# rows, and longer fibers take argmax.  The whole kernel on 2^17-entry (pre, n, 256) blocks,
-# argmax -> scan, ms (2-core x86-64 VM, numpy 2.4): n=2 2.07->0.70, n=4 1.79->0.88,
-# n=8 1.72->1.15, n=16 1.68->1.35, n=32 1.72->1.78, n=64 1.58->1.91.
-_MAX_SCAN_BITS = 4
 # Up to m = 5 the FHT reads a pre = 1 block in place, without the two rotating copies; above,
 # the copies win on blocks that fit in cache.  (1, n, post) blocks, rotating -> in place, ms
 # (2-core x86-64 VM, numpy 2.4): (1, 16, 4096) 0.23->0.20, (1, 32, 4096) 0.67->0.57,
@@ -53,8 +48,9 @@ def workspace(size):
     for the last few (size, thread) pairs.  Each nesting level owns one:
     [0] a component decoder's spectra (and the soft decoder's info LLRs),
     [1] a step kernel's scratch (the FHT's ping-pong partner, laid out
-    (n, pre, post); |S|, the min-sum magnitudes and signs).  Keying by
-    thread keeps concurrent decodes apart, as numpy releases the GIL.
+    (n, pre, post); the hard ML peak keys and mask, the min-sum magnitudes
+    and signs).  Keying by thread keeps concurrent decodes apart, as numpy
+    releases the GIL.
     """
     return _workspace(size, threading.get_ident())
 
@@ -188,9 +184,9 @@ def _hard_table(code, kernel):
 
 def hard_decode(llrs, code, kernel, out=None):
     """Hard decisions along the last axis of (..., n) float LLRs or uint8
-    bits by `kernel`, which writes the codeword bits of a (pre, n, post) float
-    fiber block into a uint8 block given as its third argument; into `out` if
-    given (it may be `llrs`).
+    0/1 bits by `kernel`, which writes the codeword bits of a (pre, n, post)
+    float fiber block into a uint8 block given as its third argument; into
+    `out` if given (it may be `llrs`).
 
     The input's dtype and the code's size pick the path, never its values.
     LLRs run the kernel.  Bits of a code with 2^(n+k) <= 2^MAX_TABLE_BITS are
@@ -211,59 +207,34 @@ def _ml_kernel(block, code, written):
     """Hard ML codeword bits of a (pre, n, post) block, into `written`: the
     Sylvester-Hadamard row at the spectrum entry of largest magnitude (ties to
     the smallest index), negated when that entry is negative (zero sign
-    treated as positive), so bit x is parity(index & x) ^ (peak < 0).  The
-    spectra lie with the fiber axis slowest, (n, pre, post), whatever the
-    block's layout, so the FHT writes them in its own layout.  Up to
-    n = 2^_MAX_SCAN_BITS the peak is found by one running compare over the n
-    contiguous (pre, post) spectrum rows (`_scan_peaks`); longer fibers take
-    argmax over the magnitudes copied fiber-major, (pre, post, n), so that it
-    reads them in place."""
+    treated as positive), so bit x is parity(index & x) ^ (peak < 0).
+
+    The FHT writes the spectra fiber-slowest, as n contiguous rows of pre *
+    post entries, whatever the block's layout.  Each entry's key is
+    2(n - 1 - j) + [S_j < 0] if its magnitude equals its fiber's largest
+    (exact: the max is one of them), else 0, in the least unsigned type of
+    2n - 1, so each fiber's largest key holds its first peak's index
+    (n - 1 - (key >> 1)) and sign (key & 1), with -0.0 read as positive.
+    The keys (<= 4 bytes an entry), then the peak mask, fill the scratch
+    array; the magnitudes overwrite the spectra after the signs are read.
+    """
     pre, n, post = block.shape
-    spectra = workspace(block.size)[0].reshape(n, pre, post).transpose(1, 0, 2)
-    fht(block.swapaxes(1, 2), out=spectra.swapaxes(1, 2))
-    scratch = workspace(block.size)[1]
-    if n <= 1 << _MAX_SCAN_BITS:
-        index, negative = _scan_peaks(spectra, scratch)
-    else:
-        magnitudes = np.abs(spectra.swapaxes(1, 2), out=scratch.reshape(pre, post, n))
-        # the least unsigned type that holds every index and position: uint8 up to n = 2^8, and
-        # uint16 up to n = 2^16, the cap rm_core.MAX_M = 16 sets; numpy counts uint8 bits far faster
-        index = np.argmax(magnitudes, axis=2).astype(np.min_scalar_type(n - 1))
-        negative = np.take_along_axis(spectra, index[:, None, :], axis=1)[:, 0] < 0.0
+    spectra, scratch = workspace(block.size)
+    rows = spectra.reshape(n, pre * post)
+    fht(block.swapaxes(1, 2), out=spectra.reshape(n, pre, post).transpose(1, 2, 0))
+    keys = scratch.view(np.min_scalar_type(2 * n - 1))[: block.size].reshape(n, pre * post)
+    peaks = scratch.view(bool)[keys.nbytes : keys.nbytes + block.size].reshape(n, pre * post)
+    np.less(rows, 0.0, out=keys)
+    magnitudes = np.abs(rows, out=rows)
+    np.equal(magnitudes, magnitudes.max(axis=0), out=peaks)
+    keys += np.arange(2 * (n - 1), -1, -2, dtype=keys.dtype)[:, None]
+    keys *= peaks
+    key = keys.max(axis=0).reshape(pre, post)
+    # the index in the least unsigned type of n - 1: numpy counts uint8 bits far faster
+    index = (n - 1 - (key >> 1)).astype(np.min_scalar_type(n - 1))
     np.bitwise_count(index[:, None, :] & np.arange(n, dtype=index.dtype)[:, None], out=written)
     written &= 1
-    written ^= negative[:, None, :]
-
-
-def _scan_peaks(spectra, scratch):
-    """The uint8 index and sign bit of the entry of largest magnitude in each
-    fiber of a (pre, n, post) spectrum block, n <= 16, by one running
-    strict-greater compare over its n (pre, post) rows, each contiguous when
-    the spectra lie (n, pre, post).
-
-    A running uint8 max keeps greater_j * (2j + [S_j < 0]): an entry that beats
-    the best magnitude so far outranks every earlier key, and one that only
-    ties adds 0, so the key holds the first peak's index (key >> 1) and sign
-    (key & 1), with -0.0 read as positive.  The best and current magnitudes
-    sit at the head of the flat float64 `scratch`.  No masked write: numpy's
-    masked loops run several times slower than these plain ones.
-    """
-    pre, n, post = spectra.shape
-    best, magnitude = scratch[: 2 * pre * post].reshape(2, pre, post)
-    np.abs(spectra[:, 0], out=best)
-    key = (spectra[:, 0] < 0.0).view(np.uint8)
-    greater = np.empty((pre, post), dtype=bool)
-    candidate = np.empty((pre, post), dtype=np.uint8)
-    for j in range(1, n):
-        row = spectra[:, j]
-        np.abs(row, out=magnitude)
-        np.greater(magnitude, best, out=greater)
-        np.maximum(best, magnitude, out=best)
-        np.less(row, 0.0, out=candidate.view(bool))
-        candidate += 2 * j
-        candidate *= greater
-        np.maximum(key, candidate, out=key)
-    return key >> 1, key & 1
+    written ^= (key & 1).astype(np.uint8)[:, None, :]
 
 
 def fht_ml_decode_batch(llrs, code, *, out=None):
@@ -271,10 +242,9 @@ def fht_ml_decode_batch(llrs, code, *, out=None):
     codeword bits.
 
     Picks the spectrum entry of largest magnitude (ties to the smallest index,
-    zero sign treated as positive): by a running compare over the spectrum
-    rows up to n = 16, by argmax beyond (see `_ml_kernel`), with the same
-    decisions either way.  Returns the uint8 codeword bits (..., n), in uint8
-    `out` if given (it may be `llrs`).  Bits are read as the +-1 words 1 - 2c;
+    zero sign treated as positive) by one rule at every n (see `_ml_kernel`).
+    Returns the uint8 codeword bits (..., n), in uint8 `out` if given (it may
+    be `llrs`).  Bits must be 0/1; they are read as the +-1 words 1 - 2c;
     on a code with 2^(n+k) <= 2^21 (rm(1,1) to rm(4,1)) they are served from a
     table of these decisions on all 2^n +-1 words (see `hard_decode`).
     """

@@ -13,17 +13,21 @@ return codeword bits.  They serve the bits of small codes from tables of their
 own decisions, indexed in uint8 up to n = 8 and in uint16 beyond: on all 2^n
 bit words, in every layout, the table answers are checked against the
 kernels' answers on the same words as +-1 LLRs, and bits of codes too large
-to tabulate take the kernel on their +-1 words.  The hard ML kernel's two
-peak searches, a running compare and argmax, must decide alike for n = 2..64
-(signed zeros included).  The FHT, in place or through its rotating copies, into a written
-block of any layout, must round bit for bit as the oracle's plain stages in
-bit order for m = 0..11.  Every component decoder, on the kernel and on the
-table path, must write over its input with `out=` exactly what it returns
-without it, in every layout: the soft decoders over LLRs, the hard decoders
-over bits.  The product decoder is checked bit for bit against the row-by-row
-decoder it replaced (index-set max-log, min-sum over generator column
-supports, a copy of each axis' fibers), kept here as a reference.
+to tabulate take the kernel on their +-1 words.  The hard ML kernel's first
+peak rule must decide as the argmax of the oracle's spectra for n = 2..1024
+(signed zeros included, and on the table's (words, n, 1) block), and at the
+n where its key and index types change.  The FHT, in place or through its
+rotating copies, into a written block of any layout, must round bit for bit
+as the oracle's plain stages in bit order for m = 0..11.  Every component
+decoder, on the kernel and on the table path, must write over its input with
+`out=` exactly what it returns without it, in every layout: the soft
+decoders over LLRs, the hard decoders over bits.  The product decoder is
+checked bit for bit against the row-by-row decoder it replaced (index-set
+max-log, min-sum over generator column supports, a copy of each axis'
+fibers), kept here as a reference.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +80,10 @@ def _values(rng, kind, shape):
         return rng.integers(-2, 3, size=shape).astype(np.float64)
     if kind == "huge":
         return rng.normal(size=shape) * 1e150
+    if kind == "signed-zeros":  # every magnitude ties at 0; the peak's sign is that of S_0
+        values = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        values[0] = -0.0  # S_0 = -0.0, read as positive
+        return values
     return rng.integers(-3, 4, size=shape) * 2.0**500  # about 1e150, exact ties
 
 
@@ -201,34 +209,18 @@ def test_min_sum_matches_dense_column_supports(m, case):
         assert np.array_equal(fast, dense[: len(fast)]), layout
 
 
-@pytest.mark.parametrize("m", range(1, 11))
-@DIFFERENTIAL
-@given(draws(kinds=EXACT_KINDS))  # exact spectra: the dense argmax is the kernel's
-def test_hard_ml_matches_dense_argmax(m, case):
-    kind, shape, rng = case
-    llrs = _values(rng, kind, (shape[0] * shape[1], 1 << m))
-    spectra = _dense_fht(llrs)
-    index = np.argmax(np.abs(spectra), axis=1)  # ties to the smallest index
+def _ml_codewords(fibers):
+    """The hard ML codewords of (count, n) LLR fibers: the rows of the
+    oracle's spectra (rounded as by the library's FHT), argmax of the
+    magnitudes (ties to the smallest index), negated where that entry is
+    negative (-0.0 reads as positive), encoded by `rm_core`."""
+    m = fibers.shape[-1].bit_length() - 1
+    spectra = fht_reference(fibers)
+    index = np.argmax(np.abs(spectra), axis=1)
     negative = spectra[np.arange(len(index)), index] < 0.0
     bits = (index[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
     infos = np.concatenate((negative[:, None], bits), axis=1).astype(np.uint8)
-    codewords = rm_core.encode_batch(rm_core.build_rm_code(m, 1), infos)
-    for layout in LAYOUTS:
-        got = _as_fibers(fht_ml_decode_batch(_lay_out(llrs, layout, shape),
-                                             rm_core.build_rm_code(m, 1)), layout)
-        assert got.dtype == np.uint8 and np.array_equal(got, codewords[: len(got)]), layout
-
-
-def _with_setting(name, value, run):
-    """`run()` with the `fht` module constant `name` set to `value`."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fht_module, name, value)
-        return run()
-
-
-def _scan_and_argmax(run):
-    """`run()` with every fiber length's peak found by the running scan, then by argmax."""
-    return _with_setting("_MAX_SCAN_BITS", 6, run), _with_setting("_MAX_SCAN_BITS", 0, run)
+    return rm_core.encode_batch(rm_core.build_rm_code(m, 1), infos)
 
 
 def _ml_kernel_bits(block, code):
@@ -237,34 +229,57 @@ def _ml_kernel_bits(block, code):
     return written
 
 
-@pytest.mark.parametrize("m", range(1, 7))  # n = 2..16 scan by default, n = 32, 64 take argmax
+@pytest.mark.parametrize("m", range(1, 11))
 @DIFFERENTIAL
-@given(draws(kinds=("normal", "zeros", "ties", "signed-zeros")))
-def test_hard_ml_scan_decides_as_argmax(m, case):
+@given(draws(kinds=KINDS + ("signed-zeros",)))
+def test_hard_ml_matches_dense_argmax(m, case):
     kind, shape, rng = case
-    n = 1 << m
-    if kind == "signed-zeros":  # every magnitude ties at 0; the peak's sign is that of S_0
-        llrs = np.where(rng.random((shape[0] * shape[1], n)) < 0.5, -0.0, 0.0)
-        llrs[0] = -0.0  # S_0 = -0.0, read as positive
-    else:
-        llrs = _values(rng, kind, (shape[0] * shape[1], n))
+    llrs = _values(rng, kind, (shape[0] * shape[1], 1 << m))
+    codewords = _ml_codewords(llrs)
     code = rm_core.build_rm_code(m, 1)
     for layout in LAYOUTS:
-        fibers = _lay_out(llrs, layout, shape)
-        scanned, searched = _scan_and_argmax(lambda: fht_ml_decode_batch(fibers, code))
-        assert np.array_equal(scanned, searched), layout
+        got = _as_fibers(fht_ml_decode_batch(_lay_out(llrs, layout, shape), code), layout)
+        assert got.dtype == np.uint8 and np.array_equal(got, codewords[: len(got)]), layout
     for block in (llrs[:, :, None], llrs[:1, :, None]):  # the table's (words, n, 1), one fiber
-        scanned, searched = _scan_and_argmax(lambda: _ml_kernel_bits(block, code))
-        assert np.array_equal(scanned, searched)
+        assert np.array_equal(_ml_kernel_bits(block, code)[:, :, 0], codewords[: len(block)])
 
 
-@pytest.mark.parametrize("m", range(1, 5))
-def test_hard_tables_are_built_alike_by_scan_and_argmax(m):
+@pytest.mark.parametrize("m", [7, 8, 9, 15, 16])
+def test_hard_ml_first_peak_at_the_type_boundaries(m):
+    # the keys 2(n - 1 - j) + [S_j < 0] go from uint8 to uint16 at n = 256 and to
+    # uint32 at n = 2^16, the index from uint8 to uint16 at n = 512; the fibers put
+    # the peak at each end of both ranges
+    n = 1 << m
+    last = 1.0 - 2.0 * (np.bitwise_count(np.arange(n)) & 1)  # Sylvester-Hadamard row n - 1
+    fibers = np.stack([
+        np.random.default_rng(m).normal(size=n),
+        np.full(n, -1.0),  # peak S_0 < 0: the largest key, 2n - 1
+        -last,  # peak S_(n-1) < 0: the smallest index type's largest index
+        last - 1.0,  # S_0 = -n and S_(n-1) = n tie: index 0, negative
+        np.full(n, -0.0),  # every S_j is +-0.0 and S_0 = -0.0: index 0, positive
+    ])
+    codewords = _ml_codewords(fibers)
     code = rm_core.build_rm_code(m, 1)
-    build = fht_module._hard_table.__wrapped__  # uncached
-    scanned, searched = _scan_and_argmax(lambda: build(code, fht_module._ml_kernel))
-    assert np.array_equal(scanned, searched)
-    assert np.array_equal(scanned, fht_module._hard_table(code, fht_module._ml_kernel))
+    for llrs in (fibers, np.ascontiguousarray(fibers.T).T):  # pre = 5, and post = 5
+        assert np.array_equal(fht_ml_decode_batch(llrs, code), codewords)
+
+
+@pytest.mark.parametrize("shape", [(64, 8, 256), (4, 1024, 256)])
+def test_hard_ml_kernel_keeps_its_keys_in_the_workspace(shape):
+    # a warm call allocates per-fiber arrays and one full-size array, the Hadamard
+    # row index & x in the index type (1 byte an entry at n = 8, 2 at n = 1024); a
+    # fresh peak mask would add 1 byte an entry, fresh keys or magnitudes more
+    block = np.random.default_rng(73).normal(size=shape)
+    code = rm_core.build_rm_code(shape[1].bit_length() - 1, 1)
+    _ml_kernel_bits(block, code)  # fills the workspace
+    written = np.empty(shape, dtype=np.uint8)
+    tracemalloc.start()  # numpy reports its data buffers to tracemalloc
+    try:
+        fht_module._ml_kernel(block, code, written)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * block.size, peak / block.size  # bytes per entry
 
 
 def _fht_inputs(m):
