@@ -15,16 +15,16 @@ bit words, in every layout, the table answers are checked against the
 kernels' answers on the same words as +-1 LLRs, and bits of codes too large
 to tabulate take the kernel on their +-1 words.  The hard ML kernel's first
 peak rule must decide as the argmax of the oracle's spectra for n = 2..1024
-(signed zeros included, and on the table's (words, n, 1) block), and at the
-n where its key and index types change.  The FHT, in place or through its
-rotating copies, into a written block of any layout, must round bit for bit
-as the oracle's plain stages in bit order for m = 0..11.  Every component
-decoder, on the kernel and on the table path, must write over its input with
-`out=` exactly what it returns without it, in every layout: the soft
-decoders over LLRs, the hard decoders over bits.  The product decoder is
-checked bit for bit against the row-by-row decoder it replaced (index-set
-max-log, min-sum over generator column supports, a copy of each axis'
-fibers), kept here as a reference.
+(signed zeros included, and on the table's (words, n, 1) block), at the n
+where its key and index types change, and in every entry of the tables of
+rm(1,1)..rm(4,1).  The FHT, in place or through its rotating copies, into a
+written block of any layout, must round bit for bit as the oracle's plain
+stages in bit order for m = 0..11.  Every component decoder, on the kernel
+and on the table path, must write over its input with `out=` exactly what it
+returns without it, in every layout: the soft decoders over LLRs, the hard
+decoders over bits.  The product decoder is checked bit for bit against the
+row-by-row decoder it replaced (index-set max-log, min-sum over generator
+column supports, a copy of each axis' fibers), kept here as a reference.
 """
 
 import tracemalloc
@@ -262,6 +262,19 @@ def test_hard_ml_first_peak_at_the_type_boundaries(m):
     code = rm_core.build_rm_code(m, 1)
     for llrs in (fibers, np.ascontiguousarray(fibers.T).T):  # pre = 5, and post = 5
         assert np.array_equal(fht_ml_decode_batch(llrs, code), codewords)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_hard_tables_hold_the_oracle_ml_decisions(m):
+    # every +-1 word of n <= 16 has integer spectra full of ties, so the whole
+    # table checks the first peak rule's index and sign on all of them
+    code = rm_core.build_rm_code(m, 1)
+    words = _bit_words(code.n)
+    expected = _ml_codewords(bpsk_modulate(words)).astype(np.uint32) @ (1 << np.arange(code.n))
+    build = fht_module._hard_table.__wrapped__  # uncached
+    for table in (build(code, fht_module._ml_kernel),
+                  fht_module._hard_table(code, fht_module._ml_kernel)):
+        assert np.array_equal(table, expected)
 
 
 @pytest.mark.parametrize("shape", [(64, 8, 256), (4, 1024, 256)])
