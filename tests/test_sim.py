@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -9,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from rmproduct import product, rm_core, sim
+from rmproduct import cli, fht, product, rm_core, sim, soft_fht
 
 
 def quick_point(**overrides):
@@ -72,10 +73,73 @@ def test_different_seeds_differ():
     assert quick_point(seed=77) != quick_point(seed=78)
 
 
-def test_worker_count_does_not_change_results():
-    serial = quick_point(workers=1)
-    parallel = quick_point(workers=2)
-    assert serial == parallel
+# Seeded sweeps whose output bytes must not depend on --workers: each is run
+# in process and pooled.  A new decoder path adds a row here.
+WORKER_SWEEPS = [
+    "--code rm(3,1)xrm(2,1) --iterations 2 --ebno 1 --min-errors 25 --max-frames 3000 --seed 77",
+    # CLI smoke runs: soft-FHT, bit-flip and exhaustive axes, one point and a grid
+    *(f"--code {code} --ebno {grid} --min-errors 5 --max-frames 512 --seed 1"
+      for code in ("rm(3,1)xrm(2,1)", "rm(3,2):bfmapxrm(2,1)", "rm(4,1)xrm(3,2):bfmap")
+      for grid in ("1", "-1:0:1")),
+    # hard mode: both hard decoders build their tables of codeword bits inside the pool
+    # workers too, rm(4,1)'s table in several blocks, and rm(5,1), too large for a
+    # table, runs its kernel on the bits' +-1 words
+    *(f"--code {code} --decoder hard --ebno -1:0:1 --min-errors 5 --max-frames 512 --seed 1"
+      for code in ("rm(3,1)xrm(2,1)", "rm(3,2):bfmapxrm(2,1)", "rm(4,1)xrm(4,1)", "rm(5,1)xrm(2,1)")),
+    # hard ML keeps each fiber's first spectrum peak by one key rule at every n: here
+    # the first axis has the shortest fiber, n = 2, the smallest key range (both later
+    # axes are served from tables)
+    "--code rm(1,1)xrm(2,1)xrm(4,1) --decoder hard --ebno 2:4:1 --min-errors 20 --max-frames 1024 --seed 1",
+    # its keys 2(n - 1 - j) + [S_j < 0] take uint16 from n = 256, and the peak index
+    # takes uint16 from n = 512
+    *(f"--code {code} --decoder hard --ebno 0:2:1 --min-errors 20 --max-frames 1024 --seed 1"
+      for code in ("rm(8,1)xrm(1,1)", "rm(9,1)xrm(1,1)")),
+    # hard tables index their words in the least unsigned type: rm(3,3)'s 2^8 words in
+    # uint8 and rm(4,0)'s 2^16 in uint16, the latter built in 8 blocks
+    "--code rm(4,0)xrm(3,3) --decoder hard --ebno 0:2:1 --min-errors 20 --max-frames 1024 --seed 1",
+    # every hard call after the first is fed bits, and an axis too large for a table,
+    # rm(6,1) or rm(10,1), runs the FHT-ML kernel on their +-1 words
+    *(f"--code {code} --decoder hard --ebno 0:2:1 --min-errors 20 --max-frames {frames} --seed 1"
+      for code, frames in (("rm(6,1)xrm(2,1)", 1024), ("rm(10,1)xrm(2,1)", 512))),
+    # the second axis's FHT blocks have pre = 1 and m = 7, past the in-place plan's
+    # bound (fht._MAX_STRAIGHT_BITS), so they take the rotating copies
+    *(f"--code rm(2,1)xrm(7,1) --decoder {decoder} "
+      "--ebno 0:2:1 --min-errors 20 --max-frames 1024 --seed 1" for decoder in ("soft", "hard")),
+    # components whose dual code is not trivial take the codeword-major exhaustive search, soft and hard
+    *(f"--code {code} --decoder {decoder} --ebno 1:3:1 --min-errors 50 --max-frames 1024 --seed 1"
+      for code in ("rm(4,2)xrm(2,1)", "rm(3,1):bfmapxrm(2,1)") for decoder in ("soft", "hard")),
+    # a 3-axis product is decoded in place through middle-axis views, in one workspace per process
+    *(f"--code rm(3,1)xrm(3,1)xrm(3,1) --decoder {decoder} "
+      "--ebno 3:5:1 --min-errors 5 --max-frames 512 --seed 1" for decoder in ("soft", "hard")),
+    # a pooled sweep runs the next point's chunks while a point drains: the benchmark's
+    # own sweep, and a frame-capped point before one that stops in its first chunk
+    "--code rm(3,1)xrm(3,1)xrm(3,1) --decoder hard --ebno 5:6:0.5 --min-errors 200 --seed 1",
+    "--code rm(3,1)xrm(2,1) --ebno 8,-2 --min-errors 3 --max-frames 600 --seed 1",
+    # soft-FHT chunks of few frames: the bfmap benchmark's own 8-frame chunk, and the
+    # headline code's 256 + 44 frames, whose last chunk is short
+    "--code rm(11,1)xrm(3,2):bfmap --ebno 0.5 --min-errors 5 --max-frames 8 --seed 1",
+    "--code rm(6,1)xrm(2,1) --ebno 2 --min-errors 1000 --max-frames 300 --seed 1",
+    # a product with an order-0 and a full-order component is one RM(7,4) subcode
+    *(f"--code rm(2,0)xrm(3,3)xrm(2,1) --decoder {decoder} "
+      "--ebno 2:6:2 --min-errors 20 --max-frames 1024 --seed 1" for decoder in ("soft", "hard")),
+]
+
+
+@pytest.mark.parametrize("sweep", WORKER_SWEEPS)
+def test_worker_count_does_not_change_results(sweep, tmp_path):
+    outputs = []
+    for workers in ("1", "2"):
+        # the pool's workers fork from this process: let them build their own tables
+        # and codes, as under a fresh `python -m rmproduct.cli`
+        for cached in (fht._hard_table, soft_fht._codebook, sim._cached_code):
+            cached.cache_clear()
+        path = tmp_path / f"workers-{workers}.csv"
+        assert cli.main(sweep.split() + ["--workers", workers, "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    # bit errors count information bits, so no row's ber exceeds its bler
+    rows = list(csv.DictReader(io.StringIO(outputs[0].decode())))
+    assert rows and all(float(row["ber"]) <= float(row["bler"]) for row in rows)
 
 
 def test_snr_matches_rate_and_ebno():
