@@ -48,9 +48,9 @@ def workspace(size):
     for the last few (size, thread) pairs.  Each nesting level owns one:
     [0] a component decoder's spectra (and the soft decoder's info LLRs),
     [1] a step kernel's scratch (the FHT's ping-pong partner, laid out
-    (n, pre, post); the hard ML peak keys and mask, the min-sum magnitudes
-    and signs).  Keying by thread keeps concurrent decodes apart, as numpy
-    releases the GIL.
+    (n, pre, post); the hard ML peak keys and mask, then its Hadamard rows;
+    the min-sum magnitudes and signs).  Keying by thread keeps concurrent
+    decodes apart, as numpy releases the GIL.
     """
     return _workspace(size, threading.get_ident())
 
@@ -98,23 +98,29 @@ def fht(values, *, out=None):
     log2(n) butterfly stages, each doing exactly n additions/subtractions per
     fiber; applying it twice returns n times the input.  Does not mutate the
     input; returns a float64 array of the same shape, `out` if given (it must
-    not overlap the input).  Every pass runs with the fiber axis slowest: it
-    sees its source and target as (n, pre, post), so stage b pairs runs of
-    2^b * pre * post entries.  The passes alternate between the written block
-    seen as (n, pre, post) and a workspace partner of that shape, the last
-    landing in the written block.  The decoders' spectra lie in memory that
-    way; a written block that does not (only a direct call makes one, such
-    as fht(x) on C-ordered (count, n) fibers) takes its passes through that
-    strided view, several times slower.  A block already fiber slowest
-    (pre = 1) with m <= _MAX_STRAIGHT_BITS is read in place by the m stages:
-    m passes.  Any other takes m + 2: the low m//2 index bits are transformed
-    first, then the rest, each group after a pass that copies the data into
-    (n, pre, post) with its index bits rotated so that the group's bits are
-    the slowest, so no stage pairs runs shorter than 2^(m//2) * pre * post
-    entries.  Both plans transform index bits 0..m-1 in that order, so they
-    give the same bits.  At n = 1 the one pass is a copy.
+    not overlap the input), else a fresh one laid out with the fiber axis
+    slowest and the others in the input's memory order.  Every pass runs with
+    the fiber axis slowest: it sees its source and target as (n, pre, post),
+    so stage b pairs runs of 2^b * pre * post entries.  The passes alternate
+    between the written block seen as (n, pre, post) and a workspace partner
+    of that shape, the last landing in the written block.  The decoders'
+    spectra and a fresh result lie in memory that way; an `out` that does not
+    takes its passes through that strided view, several times slower.  A
+    block already fiber slowest (pre = 1) with m <= _MAX_STRAIGHT_BITS is
+    read in place by the m stages: m passes.  Any other takes m + 2: the low
+    m//2 index bits are transformed first, then the rest, each group after a
+    pass that copies the data into (n, pre, post) with its index bits rotated
+    so that the group's bits are the slowest, so no stage pairs runs shorter
+    than 2^(m//2) * pre * post entries.  Both plans transform index bits
+    0..m-1 in that order, so they give the same bits.  At n = 1 the one pass
+    is a copy.
     """
-    if out is not None and np.may_share_memory(values, out):
+    values = np.asarray(values)
+    if out is None:  # fresh, fiber slowest, its other axes in the input's memory order
+        lead = sorted(range(values.ndim - 1), key=lambda axis: -values.strides[axis])
+        fresh = np.empty(values.shape[-1:] + tuple(values.shape[axis] for axis in lead))
+        out = fresh.transpose([1 + lead.index(axis) for axis in range(values.ndim - 1)] + [0])
+    elif np.may_share_memory(values, out):
         raise ValueError("fht's out must not overlap its input")
     block, written, result = fiber_block(values, out=out)
     pre, n, post = block.shape
@@ -216,7 +222,9 @@ def _ml_kernel(block, code, written):
     2n - 1, so each fiber's largest key holds its first peak's index
     (n - 1 - (key >> 1)) and sign (key & 1), with -0.0 read as positive.
     The keys (<= 4 bytes an entry), then the peak mask, fill the scratch
-    array; the magnitudes overwrite the spectra after the signs are read.
+    array, and once the keys are reduced the Hadamard rows index & x are
+    formed there too; the magnitudes overwrite the spectra after the signs
+    are read.
     """
     pre, n, post = block.shape
     spectra, scratch = workspace(block.size)
@@ -232,7 +240,9 @@ def _ml_kernel(block, code, written):
     key = keys.max(axis=0).reshape(pre, post)
     # the index in the least unsigned type of n - 1: numpy counts uint8 bits far faster
     index = (n - 1 - (key >> 1)).astype(np.min_scalar_type(n - 1))
-    np.bitwise_count(index[:, None, :] & np.arange(n, dtype=index.dtype)[:, None], out=written)
+    masked = scratch.view(index.dtype)[: block.size].reshape(pre, n, post)  # the keys are spent
+    np.bitwise_and(index[:, None, :], np.arange(n, dtype=index.dtype)[:, None], out=masked)
+    np.bitwise_count(masked, out=written)
     written &= 1
     written ^= (key & 1).astype(np.uint8)[:, None, :]
 

@@ -134,12 +134,14 @@ def product_recover_batch(code: ProductCode, words) -> np.ndarray:
 def _decode_fibers(comp: Component, source, written, axis: int, mode: str) -> None:
     """Run the component decoder along `axis` of the tensor `source`, writing
     its output into the same fibers of `written`, a tensor of the decoder's
-    output dtype laid out as `source` (it may be `source`)."""
+    output dtype laid out as `source` (it may be `source`).  The decoder sees
+    `axis` swapped with the last one: `fht.fiber_block` orders the other axes
+    by stride, so it gets the block any order of them would give."""
     if comp.decoder == BF_MAP:
         decoder = brute_force_soft_map_batch if mode == SOFT else brute_force_ml_decode_batch
     else:
         decoder = soft_fht_decode_batch if mode == SOFT else fht_ml_decode_batch
-    decoder(np.moveaxis(source, axis, -1), comp.code, out=np.moveaxis(written, axis, -1))
+    decoder(source.swapaxes(axis, -1), comp.code, out=written.swapaxes(axis, -1))
 
 
 def decode_ops(code: ProductCode, mode: str, iterations: int) -> ops.OpCounter:

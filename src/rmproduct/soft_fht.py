@@ -70,7 +70,7 @@ def prefix_butterfly(op, first, rows, out=None):
 def encoded_bit_llrs_batch(info_llrs, code, *, out=None) -> np.ndarray:
     """Min-sum LLRs of the n code positions along the last axis of (..., m+1)
     LLRs, into `out` if given (it may overlap the LLRs: all of them are read
-    first).
+    first, so the soft decoder re-expands its info rows over its spectra).
 
     Position x is fed by the all-one row and the row of each set bit of x, so
     from the all-one row each bit doubles the prefix with min(prefix, |L_b|)
@@ -91,13 +91,13 @@ def encoded_bit_llrs_batch(info_llrs, code, *, out=None) -> np.ndarray:
 
 def soft_fht_decode_batch(llrs, code, *, out=None) -> np.ndarray:
     """Full SISO pipeline along the last axis of a (..., n) LLR array, into
-    `out` if given (it may be `llrs`).  The spectra, and then the info-bit
-    LLRs over them, lie at the head of the component decoders' workspace array
-    laid out (n, pre * post) and (k, pre * post), whatever the block's layout,
-    so every step over them runs pre * post contiguous entries however few
-    frames a chunk has.  The min-sum step reads the k info rows from the head
-    of the written block, where they are moved in its layout, and writes the
-    n positions over them.  Each step gets (pre, post, n) views."""
+    `out` if given (it may be `llrs`).  All three steps run in the component
+    decoders' workspace array [0], laid out with the fiber axis slowest
+    whatever the block's layout: the spectra (n, pre * post), the info-bit
+    LLRs over their head (k, pre * post), and the min-sum positions over the
+    spent spectra, so every step runs over pre * post contiguous entries
+    however few frames a chunk has.  The block is written once, at the end.
+    Each step gets (pre, post, n) views."""
     block, written, result = fiber_block(llrs, code.n, out)
     pre, n, post = block.shape
     spare = workspace(block.size)[0]
@@ -105,9 +105,8 @@ def soft_fht_decode_batch(llrs, code, *, out=None) -> np.ndarray:
     info = spare[: code.k * pre * post].reshape(code.k, pre, post).transpose(1, 2, 0)
     fht(block.swapaxes(1, 2), out=spectra)
     info_bit_llrs_batch(spectra, code, out=info)
-    moved = written[:, : code.k]
-    moved[...] = info.swapaxes(1, 2)
-    encoded_bit_llrs_batch(moved.swapaxes(1, 2), code, out=written.swapaxes(1, 2))
+    encoded_bit_llrs_batch(info, code, out=spectra)
+    written[...] = spectra.swapaxes(1, 2)
     return result
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import min_nonzero_weight, product_rows_generator
 from test_ops import PINNED
-from rmproduct import gf2, rm_core, soft_fht
+from rmproduct import cli, gf2, rm_core, soft_fht
 import rmproduct.fht as fht_module
 from rmproduct.fht import fht, fht_ml_decode_batch
 from rmproduct.ops import OpCounter
@@ -112,7 +112,7 @@ def test_higher_order_component_implies_bfmap():
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
-def test_implied_bfmap_decodes_like_the_suffix(mode):
+def test_implied_bfmap_decodes_like_the_suffix(mode, tmp_path):
     implied = product_code_from_descriptor("rm(4,1)xrm(3,2)")
     spelled = product_code_from_descriptor("rm(4,1)xrm(3,2):bfmap")
     rng = np.random.default_rng(12)
@@ -128,6 +128,14 @@ def test_implied_bfmap_decodes_like_the_suffix(mode):
     assert np.array_equal(decided, expected_decided)
     assert np.array_equal(llrs, expected_llrs)
     assert counter == expected_counter
+    # and a seeded CLI sweep prints the same bytes under either spelling
+    outputs = []
+    for descriptor in ("rm(4,1)xrm(3,2)", "rm(4,1)xrm(3,2):bfmap"):
+        path = tmp_path / f"{descriptor}.csv"
+        assert cli.main(["--code", descriptor, "--decoder", mode, "--ebno", "-1:0:1", "--min-errors", "5",
+                         "--max-frames", "512", "--seed", "1", "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("descriptor", ["rm(3,1)xrm(3,1)xrm(3,1)", "rm(4,1)xrm(3,2):bfmap"])
@@ -426,6 +434,9 @@ def test_llrs_that_leave_the_float_range_are_refused():
     ("rm(16,15)", r"^rm\(16,15\): brute-force decoding caps at k <= 16, got k=65535$"),
     ("rm(9,1)xrm(8,1)", r"^rm\(9,1\)xrm\(8,1\): a product caps at n_t <= 65536, got n_t=131072$"),
     ("rm(8,1):bfmapxrm(9,1)", r"^rm\(8,1\):bfmapxrm\(9,1\): a product caps at n_t <= 65536"),
+    ("rm(14,1)xrm(14,1)", r"^rm\(14,1\)xrm\(14,1\): a product caps at n_t <= 65536, got n_t=268435456$"),
+    # building rm(15,14) would encode a 32,767-row identity and check its row space, about 40 s
+    ("rm(15,14)", r"^rm\(15,14\): brute-force decoding caps at k <= 16, got k=32767$"),
 ])
 def test_size_caps_are_checked_before_any_code_is_built(monkeypatch, descriptor, message):
     def no_build(m, r):
@@ -442,7 +453,7 @@ def test_encode_validates_arguments():
         product_encode_batch(code, np.zeros(code.k_t + 1, dtype=np.uint8))
 
 
-# the acceptance menu, the CI smoke codes, the benchmark matrix, and rm(3,2)
+# the acceptance menu, the WORKER_SWEEPS codes, the benchmark matrix, and rm(3,2)
 # and rm(4,2) as one-component products
 RECOVER_CODES = (
     "rm(6,1)xrm(2,1)", "rm(5,1)xrm(3,1)", "rm(4,1)xrm(4,1)", "rm(3,1)xrm(2,1)", "rm(4,1)xrm(2,1)",

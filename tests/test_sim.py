@@ -77,6 +77,8 @@ def test_different_seeds_differ():
 # in process and pooled.  A new decoder path adds a row here.
 WORKER_SWEEPS = [
     "--code rm(3,1)xrm(2,1) --iterations 2 --ebno 1 --min-errors 25 --max-frames 3000 --seed 77",
+    # a single-parity-check component takes the closed-form soft-MAP: four full chunks
+    "--code rm(4,3)xrm(2,1) --ebno 1 --min-errors 5000 --max-frames 1024 --seed 1",
     # CLI smoke runs: soft-FHT, bit-flip and exhaustive axes, one point and a grid
     *(f"--code {code} --ebno {grid} --min-errors 5 --max-frames 512 --seed 1"
       for code in ("rm(3,1)xrm(2,1)", "rm(3,2):bfmapxrm(2,1)", "rm(4,1)xrm(3,2):bfmap")
