@@ -70,6 +70,8 @@ def fiber_block(values, length=None, out=None, width=None, dtype=np.float64):
     """
     a = np.asarray(values)
     a = a if a.dtype == dtype == np.uint8 else a.astype(np.float64, copy=False)
+    if a.ndim == 0:
+        raise ValueError("values must have a fiber axis (the last), got a 0-d array")
     if length is not None and a.shape[-1] != length:
         raise ValueError(f"fibers have length {a.shape[-1]}, expected {length}")
     order = sorted(range(a.ndim - 1), key=lambda axis: -a.strides[axis])
@@ -116,6 +118,8 @@ def fht(values, *, out=None):
     is a copy.
     """
     values = np.asarray(values)
+    if values.ndim == 0:
+        raise ValueError("values must have a fiber axis (the last), got a 0-d array")
     if out is None:  # fresh, fiber slowest, its other axes in the input's memory order
         lead = sorted(range(values.ndim - 1), key=lambda axis: -values.strides[axis])
         fresh = np.empty(values.shape[-1:] + tuple(values.shape[axis] for axis in lead))

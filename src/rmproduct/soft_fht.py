@@ -23,7 +23,7 @@ from .channel import bpsk_modulate
 from .fht import fht, fiber_block, hard_decode, workspace
 
 MAX_BF_DIM = 16
-SCORE_BLOCK_SIZE = 1 << 17  # scores per codeword-major block copy (1 MiB): 1,024 fibers at k = 7
+SCORE_BLOCK_SIZE = 1 << 17  # scores per soft-MAP tile (1 MiB), never fewer than 2 fibers: 1,024 at k = 7
 
 
 def info_bit_llrs_batch(spectra, code, *, out=None) -> np.ndarray:
@@ -134,13 +134,6 @@ def _codebook(code: rm_core.RmCode) -> tuple:
     return signs, splits
 
 
-def _correlations(block, signs):
-    """(pre, post, 2^k) correlations of a (pre, n, post) block's fibers with
-    the +-1 codewords, as one (pre * post, n) @ (n, 2^k) product."""
-    pre, n, post = block.shape
-    return (block.transpose(0, 2, 1).reshape(-1, n) @ signs.T).reshape(pre, post, len(signs))
-
-
 def _parity_check_kernel(block, written):
     """Max-log MAP of the single-parity-check fibers of a (pre, n, post)
     block, into `written` (it may be the block): position j gets
@@ -183,12 +176,18 @@ def brute_force_soft_map_batch(llrs, code, *, out=None) -> np.ndarray:
     `llrs`: all of it is read first).  A single-parity-check code, r = m-1,
     takes the closed form of `_parity_check_kernel`, in O(n) per fiber: the
     same max-log values as the search, rounded once per position, and
-    independent of how many fibers share the call.  Any other code is
-    correlated against all 2^k codewords, and the scores are reduced a block
-    of at most SCORE_BLOCK_SIZE >> k fibers at a time: the block is copied
-    codeword-major, (2^k, fibers), and position j takes the max over its rows
-    of the codewords with a 0 at j minus the max over those with a 1.  Codes
-    with k > MAX_BF_DIM are refused on either path.
+    independent of how many fibers share the call.  Any other code gathers
+    its fibers once, (pre * post, n), and walks them in contiguous tiles of
+    about SCORE_BLOCK_SIZE scores, at least SCORE_BLOCK_SIZE >> k >= 2 fibers
+    each unless the call has one fiber (with OpenBLAS a product of two or
+    more rows rounds as those rows of one whole product; one row may not,
+    so no tile is a lone fiber).  Each tile is correlated against all 2^k
+    codewords, (fibers, n) @ (n, 2^k), and copied codeword-major, (2^k,
+    fibers); position j takes the max over its rows of the codewords with a 0
+    at j minus the max over those with a 1, into an (n, pre * post) array
+    that is written to the block once, at the end.  So no more than a tile's
+    scores are alive at once.  Codes with k > MAX_BF_DIM are refused on
+    either path.
     """
     check_exhaustive_size(code.descriptor, code.k)
     block, written, result = fiber_block(llrs, code.n, out)
@@ -197,15 +196,15 @@ def brute_force_soft_map_batch(llrs, code, *, out=None) -> np.ndarray:
         _parity_check_kernel(block, written)
     else:
         signs, splits = _codebook(code)
-        scores = _correlations(block, signs)
-        fibers = SCORE_BLOCK_SIZE >> code.k
-        step_pre, step_post = max(1, fibers // max(1, post)), max(1, min(post, fibers))
-        for p in range(0, pre, step_pre):
-            for q in range(0, post, step_post):
-                major = np.moveaxis(scores[p : p + step_pre, q : q + step_post], -1, 0).copy()
-                for j, (zero, one) in enumerate(splits):
-                    written[p : p + step_pre, j, q : q + step_post] = (
-                        major[zero].max(axis=0) - major[one].max(axis=0))
+        fibers = block.transpose(0, 2, 1).reshape(-1, code.n)
+        flat = np.empty((code.n, len(fibers)))
+        tiles = max(1, len(fibers) * len(signs) // SCORE_BLOCK_SIZE)
+        for t in range(tiles):
+            tile = slice(len(fibers) * t // tiles, len(fibers) * (t + 1) // tiles)
+            major = np.ascontiguousarray((fibers[tile] @ signs.T).T)  # (2^k, fibers)
+            for j, (zero, one) in enumerate(splits):
+                np.subtract(major[zero].max(axis=0), major[one].max(axis=0), out=flat[j, tile])
+        written[...] = flat.reshape(code.n, pre, post).swapaxes(0, 1)
     return result
 
 
@@ -213,7 +212,8 @@ def _ml_kernel(block, code, written):
     """Exhaustive hard ML codeword bits of a (pre, n, post) block, into
     `written`, ties to the lowest codeword index."""
     signs, _ = _codebook(code)
-    best = np.argmax(_correlations(block, signs), axis=-1)
+    pre, n, post = block.shape
+    best = np.argmax(block.transpose(0, 2, 1).reshape(-1, n) @ signs.T, axis=-1).reshape(pre, post)
     written[...] = signs[best[:, None, :], np.arange(code.n)[:, None]] < 0.0  # (pre, n, post)
 
 

@@ -6,8 +6,9 @@ axis of 2- and 3-axis tensors, with random LLRs, exact zeros, exact ties and
 magnitudes near 1e150.  Hypothesis draws the cases derandomized, so every
 run checks the same examples.  The brute-force kernels and the encoder take
 the same inputs and are checked against row-by-row calls, and the soft-MAP
-against a mask-gather oracle on fiber counts around its score blocks, and on
-the single-parity-check codes, where it takes a closed form, against the
+against a mask-gather oracle on fiber counts across its tile edges, with
+score memory that does not grow with the fiber count, and on the
+single-parity-check codes, where it takes a closed form, against the
 exhaustive oracle on every layout.  The hard decoders read LLRs or bits and
 return codeword bits.  They serve the bits of small codes from tables of their
 own decisions, indexed in uint8 up to n = 8 and in uint16 beyond: on all 2^n
@@ -296,6 +297,25 @@ def test_hard_ml_kernel_keeps_its_keys_in_the_workspace(shape):
     assert peak < (8 / shape[1] + 0.25) * block.size, peak / block.size  # bytes per entry
 
 
+# rm(5,2) reduces 2-fiber tiles at about 40 ms each, so it gets few fibers
+@pytest.mark.parametrize("m, r, count", [(3, 1, 16384), (4, 2, 4096), (4, 2, 16384), (5, 2, 32)])
+def test_soft_map_score_memory_does_not_grow_with_the_fibers(m, r, count):
+    # the scores of one tile of about SCORE_BLOCK_SIZE entries, its codeword-major
+    # copy and a gather are alive at once, besides the gathered fibers and the
+    # position LLRs; the whole (count, 2^k) score matrix of rm(4,2) and rm(5,2)
+    # would take 16 to 256 MiB here
+    code = rm_core.build_rm_code(m, r)
+    llrs = np.random.default_rng(count).normal(size=(count, code.n)) * 3.0
+    brute_force_soft_map_batch(llrs.copy(), code)  # builds the codebook
+    tracemalloc.start()
+    try:
+        brute_force_soft_map_batch(llrs, code, out=llrs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * llrs.nbytes + 4 * 8 * SCORE_BLOCK_SIZE, peak / 2**20  # MiB
+
+
 def _fht_inputs(m):
     """(pre, post, n) views of C-ordered (pre, n, post) blocks with few fibers
     and with many, pre = 1 blocks (one fiber, and fibers stored (n, count)),
@@ -550,7 +570,7 @@ def test_brute_force_and_encode_take_any_leading_shape(m, r, case):
 @pytest.mark.parametrize("m, r", [(2, 2), (3, 1), (4, 1), (4, 2), (5, 2)])  # exhaustive, k = 4..16
 def test_soft_map_matches_the_mask_gather_oracle_across_score_blocks(m, r):
     code = rm_core.build_rm_code(m, r)
-    words, block = 1 << code.k, SCORE_BLOCK_SIZE >> code.k  # block: fibers per score block
+    words, block = 1 << code.k, SCORE_BLOCK_SIZE >> code.k  # block: the fewest fibers in a tile
     rng = np.random.default_rng(100 * m + r)
     for count in (1, block - 1, block, block + 1, 3 * block + 5):
         llrs = rng.normal(size=(count, code.n)) * 3.0
@@ -558,7 +578,7 @@ def test_soft_map_matches_the_mask_gather_oracle_across_score_blocks(m, r):
         for layout in LAYOUTS:
             fibers = _lay_out(llrs, layout, (lead, count // lead))
             fast = _as_fibers(brute_force_soft_map_batch(fibers, code), layout)
-            # the oracle gets as many rows, so its product rounds the same way
+            # each tile's product has >= 2 rows, so it rounds as the oracle's whole product
             expected = exhaustive_code_llrs(llrs[: len(fast)], code)
             assert np.array_equal(fast, expected), (count, layout)
     # the modeled work of the exhaustive search on one fiber, independent of the blocks

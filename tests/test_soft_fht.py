@@ -260,6 +260,23 @@ def test_fibers_of_the_wrong_length_are_rejected(decoder, length, order):
         decoder(np.zeros(length), rm_core.build_rm_code(3, order))
 
 
+@pytest.mark.parametrize("decoder, dtype", [
+    pytest.param(lambda values, code: fht(values), np.float64, id="fht-float64"),  # no `out`
+    (info_bit_llrs_batch, np.float64),
+    (encoded_bit_llrs_batch, np.float64),
+    (soft_fht_decode_batch, np.float64),
+    (fht_ml_decode_batch, np.float64),
+    (fht_ml_decode_batch, np.uint8),  # the table path reads bits
+    (brute_force_soft_map_batch, np.float64),
+    (brute_force_ml_decode_batch, np.float64),
+    (brute_force_ml_decode_batch, np.uint8),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_a_0d_input_is_refused_for_its_missing_fiber_axis(decoder, dtype):
+    # refused before any kernel reads a length or builds a table
+    with pytest.raises(ValueError, match="must have a fiber axis"):
+        decoder(dtype(1), rm_core.build_rm_code(3, 1))
+
+
 def test_brute_force_dimension_cap():
     code = rm_core.build_rm_code(5, 4)  # k = 31
     with pytest.raises(rm_core.SizeLimitError):
